@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from sympy import isprime
-
 from .lattice import (
     BlowupContext,
     DivisorClass,
@@ -32,7 +30,7 @@ from .lattice import (
     vdim,
     vdim_quadratic,
 )
-from .oracle import OracleBudget, p4_quadric_table, torsion_parity_table
+from .oracle import OracleBudget, check_prime, p4_quadric_table, torsion_parity_table
 from .positivity import (
     SpecialityVerdict,
     classify_asymptotic,
@@ -43,9 +41,12 @@ from .positivity import (
 )
 from .weyl import (
     cached_minus_one_orbit,
+    expand_representatives,
     is_minus_one_class,
     minus_one_orbit,
+    minus_one_orbit_representatives,
     orbit_cache_path,
+    orbit_size,
     reduce_class,
     standard_class_kind,
     StandardClassKind,
@@ -62,8 +63,10 @@ class RunConfig:
     cache_dir: str | None = None
 
     def validate(self) -> "RunConfig":
-        if not isprime(self.prime):
-            raise SystemExit(f"error: --prime {self.prime} is not prime")
+        try:
+            check_prime(self.prime)
+        except ValueError as exc:
+            raise SystemExit(f"error: --prime {exc}")
         if self.orbit_bound < 1:
             raise SystemExit("error: --bound must be >= 1")
         if self.genus_threshold < 1:
@@ -252,19 +255,20 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     ctx = BlowupContext(2, args.r)
     bound = cfg.orbit_bound
     if cfg.cache_dir:
-        classes = cached_minus_one_orbit(ctx, bound, cfg.cache_dir)
+        reps = cached_minus_one_orbit(ctx, bound, cfg.cache_dir)
         cache_file = str(orbit_cache_path(cfg.cache_dir, ctx, bound))
     else:
-        classes = minus_one_orbit(ctx, bound)
+        reps = minus_one_orbit_representatives(ctx, bound)
         cache_file = None
     payload = {
         "ctx": {"n": 2, "r": args.r},
         "bound": bound,
-        "count": len(classes),
+        "count": orbit_size(reps),
         "cache_file": cache_file,
     }
     if args.list:
-        payload["classes"] = [class_to_json(c) for c in classes]
+        payload["classes"] = [{"n": 2, "r": args.r, "d": d, "m": list(m)}
+                              for d, m in expand_representatives(reps)]
     emit(payload, cfg)
     return 0
 
@@ -509,9 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; invalid input from the library exits 2 with a message."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

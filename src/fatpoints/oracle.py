@@ -84,9 +84,18 @@ class OracleBudget:
     config: PointConfig | None = None
 
 
+# Elimination and the derivative tables multiply two residues in int64 and
+# then add or subtract a third, so (p - 1)^2 + p must stay below 2^63; the
+# power of two below sqrt(2^63) keeps that with room to spare.
+PRIME_LIMIT = 1 << 31
+
+
 def check_prime(p: int) -> int:
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"{p} is too large: primes must be below 2^31 "
+                         "so that products of residues fit in int64")
     return p
 
 
@@ -428,6 +437,9 @@ def h0_at_config(D: DivisorClass, config: PointConfig) -> tuple[int, int]:
     d = int(Dc.d)
     if d < 0:
         return 0, 0
+    check_prime(config.prime)
+    if config.prime <= d:
+        raise ValueError(f"prime {config.prime} must exceed the degree {d}")
     exponents_count = math.comb(d + D.ctx.n, D.ctx.n)
     active = [(pt, int(mi)) for pt, mi in zip(config.points, Dc.m) if mi >= 1]
     if not active:

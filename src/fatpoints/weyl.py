@@ -14,26 +14,23 @@ orbit of the exceptional classes useful for positivity questions.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
 import tempfile
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
-
-from sympy.utilities.iterables import multiset_permutations
+from typing import Iterable, Iterator, Sequence
 
 from .lattice import (
     BlowupContext,
     DivisorClass,
     canonical_class,
-    class_from_json,
-    class_to_json,
     gram_matrix,
     pair,
     _require_surface,
@@ -120,11 +117,6 @@ class ReductionReport:
         return D
 
 
-def _is_pseudostandard(d: int, m: Sequence[int]) -> bool:
-    top = sorted(m, reverse=True)[:3] + [0, 0, 0]
-    return all(m[i] >= m[i + 1] for i in range(len(m) - 1)) and d >= sum(top[:3])
-
-
 def reduce_class(D: DivisorClass) -> ReductionReport:
     """Reduce an integral surface class to pseudostandard form.
 
@@ -205,8 +197,12 @@ def is_minus_one_class(D: DivisorClass) -> bool:
 
 # -- the (-1)-orbit ---------------------------------------------------------
 
+# A class dH - sum m_i E_i as plain ints (d, (m_1, ..., m_r)).
+Representative = tuple[int, tuple[int, ...]]
+
+
 def minus_one_orbit_representatives(ctx: BlowupContext,
-                                    degree_bound: int) -> list[tuple[int, tuple[int, ...]]]:
+                                    degree_bound: int) -> list[Representative]:
     """Sorted-multiplicity representatives of the orbit of E_r, degree <= bound.
 
     Breadth-first closure of the exceptional class under Cremona
@@ -245,6 +241,20 @@ def minus_one_orbit_representatives(ctx: BlowupContext,
     return sorted(seen)
 
 
+def minus_one_orbit_count(ctx: BlowupContext, degree_bound: int) -> int:
+    """Size of the orbit of E_r up to the degree bound, without expanding it."""
+    return orbit_size(minus_one_orbit_representatives(ctx, degree_bound))
+
+
+def iter_minus_one_orbit(ctx: BlowupContext,
+                         degree_bound: int) -> Iterator[Representative]:
+    """The orbit of E_r up to the degree bound as lazy (d, m) int tuples.
+
+    Same members and order as :func:`minus_one_orbit`.
+    """
+    return expand_representatives(minus_one_orbit_representatives(ctx, degree_bound))
+
+
 def minus_one_orbit(ctx: BlowupContext, degree_bound: int) -> list[DivisorClass]:
     """The full orbit of E_r under the Weyl group, up to the degree bound.
 
@@ -252,32 +262,79 @@ def minus_one_orbit(ctx: BlowupContext, degree_bound: int) -> list[DivisorClass]
     its multiplicities; the output order is canonical (by degree, then by
     the multiplicity vector), independent of the search order.
     """
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for d, m in minus_one_orbit_representatives(ctx, degree_bound):
-        for perm in multiset_permutations(list(m)):
-            out.append((d, tuple(perm)))
-    out.sort()
-    return [DivisorClass(ctx, d, m) for d, m in out]
+    return [DivisorClass(ctx, d, m) for d, m in iter_minus_one_orbit(ctx, degree_bound)]
+
+
+def orbit_size(representatives: Iterable[Representative]) -> int:
+    """Number of orbit members: one multinomial len(m)! / prod count(v)! per
+    representative, the number of distinct permutations of its multiplicities."""
+    total = 0
+    for _, m in representatives:
+        size = math.factorial(len(m))
+        for count in Counter(m).values():
+            size //= math.factorial(count)
+        total += size
+    return total
+
+
+def expand_representatives(representatives: Iterable[Representative]
+                           ) -> Iterator[Representative]:
+    """All permutations of the representatives, merged into (d, m) order."""
+    return heapq.merge(*(_distinct_permutations(d, m) for d, m in representatives))
+
+
+def _distinct_permutations(d: int, m: Sequence[int]) -> Iterator[Representative]:
+    """(d, p) for the distinct permutations p of m, in lexicographic order.
+
+    The standard next-permutation step: find the longest nonincreasing
+    suffix, swap its left neighbour with the rightmost larger entry and
+    reverse the suffix.  A separate function so that d is bound per call.
+    """
+    p = sorted(m)
+    while True:
+        yield d, tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
 
 
 # -- orbit cache --------------------------------------------------------------
+
+# Version 1 (no "format" key) stored every orbit member as a class JSON line.
+ORBIT_CACHE_FORMAT = 2
+
+
+class OrbitCacheError(ValueError):
+    """An orbit cache file in another format, torn, or with a bad entry."""
+
 
 def orbit_cache_path(cache_dir: str | Path, ctx: BlowupContext, bound: int) -> Path:
     return Path(cache_dir) / f"orbit_n{ctx.n}_r{ctx.r}_b{bound}.jsonl"
 
 
 def write_orbit_cache(path: str | Path, ctx: BlowupContext, bound: int,
-                      classes: Iterable[DivisorClass]) -> None:
-    """Write the orbit as JSON lines (header line, then one class per line).
+                      representatives: Sequence[Representative]) -> None:
+    """Write the orbit representatives as JSON lines.
 
+    The header line records the format version, the key (ctx, bound) and
+    the number of representatives; one {"d", "m"} line follows for each.
     The file is written to a temporary sibling and atomically renamed, so
     concurrent readers never see a torn cache.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps({"ctx": {"n": ctx.n, "r": ctx.r}, "bound": bound},
+    lines = [json.dumps({"format": ORBIT_CACHE_FORMAT, "ctx": {"n": ctx.n, "r": ctx.r},
+                         "bound": bound, "representatives": len(representatives)},
                         sort_keys=True)]
-    lines.extend(json.dumps(class_to_json(c), sort_keys=True) for c in classes)
+    lines.extend(json.dumps({"d": d, "m": list(m)}, sort_keys=True)
+                 for d, m in representatives)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -289,29 +346,68 @@ def write_orbit_cache(path: str | Path, ctx: BlowupContext, bound: int,
         raise
 
 
-def read_orbit_cache(path: str | Path) -> tuple[BlowupContext, int, list[DivisorClass]]:
-    with open(path) as handle:
-        header = json.loads(handle.readline())
-        ctx = BlowupContext(int(header["ctx"]["n"]), int(header["ctx"]["r"]))
-        bound = int(header["bound"])
-        classes = [class_from_json(json.loads(line))
-                   for line in handle if line.strip()]
-    return ctx, bound, classes
+def read_orbit_cache(path: str | Path
+                     ) -> tuple[BlowupContext, int, list[Representative]]:
+    """Read and validate a file written by :func:`write_orbit_cache`.
+
+    Raises OrbitCacheError unless the header has the current format, the
+    number of entries matches it, the entries are strictly increasing, and
+    each is a sorted (-1)-class: 0 <= d <= bound, C^2 = C.K = -1.
+    """
+    try:
+        with open(path) as handle:
+            header, *entries = [json.loads(line) for line in handle]
+        if header.get("format") != ORBIT_CACHE_FORMAT:
+            raise ValueError(f"format {header.get('format')!r}, "
+                             f"expected {ORBIT_CACHE_FORMAT}")
+        ctx = BlowupContext(_json_int(header["ctx"]["n"]), _json_int(header["ctx"]["r"]))
+        bound = _json_int(header["bound"])
+        size = _json_int(header["representatives"])
+        reps = [(_json_int(e["d"]), tuple(_json_int(x) for x in e["m"]))
+                for e in entries]
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise OrbitCacheError(f"{path}: not a valid orbit cache ({exc!r})") from exc
+    if ctx.n != 2:
+        raise OrbitCacheError(f"{path}: the orbit lives on surfaces, not n = {ctx.n}")
+    if len(reps) != size:
+        raise OrbitCacheError(f"{path}: {len(reps)} entries, header says {size}")
+    for k, (d, m) in enumerate(reps):
+        if k and reps[k - 1] >= (d, m):
+            raise OrbitCacheError(f"{path}: entries out of order at line {k + 2}")
+        if (len(m) != ctx.r or not 0 <= d <= bound
+                or any(m[i] < m[i + 1] for i in range(len(m) - 1))
+                or d * d - sum(x * x for x in m) != -1 or sum(m) - 3 * d != -1):
+            raise OrbitCacheError(f"{path}: line {k + 2} is not a sorted (-1)-class "
+                                  f"of degree <= {bound}: {(d, m)}")
+    return ctx, bound, reps
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def cached_minus_one_orbit(ctx: BlowupContext, bound: int,
-                           cache_dir: str | Path | None) -> list[DivisorClass]:
-    """Orbit lookup keyed by (n, r, bound); regenerates the file when absent."""
+                           cache_dir: str | Path | None) -> list[Representative]:
+    """Orbit representatives keyed by (n, r, bound), through a file cache.
+
+    A missing file, one in another format or for another key, a torn file
+    or one with an invalid entry is regenerated and rewritten atomically.
+    """
     if cache_dir is None:
-        return minus_one_orbit(ctx, bound)
+        return minus_one_orbit_representatives(ctx, bound)
     path = orbit_cache_path(cache_dir, ctx, bound)
     if path.exists():
-        cached_ctx, cached_bound, classes = read_orbit_cache(path)
-        if cached_ctx == ctx and cached_bound == bound:
-            return classes
-    classes = minus_one_orbit(ctx, bound)
-    write_orbit_cache(path, ctx, bound, classes)
-    return classes
+        try:
+            cached_ctx, cached_bound, reps = read_orbit_cache(path)
+            if (cached_ctx, cached_bound) == (ctx, bound):
+                return reps
+        except (OSError, OrbitCacheError):
+            pass
+    reps = minus_one_orbit_representatives(ctx, bound)
+    write_orbit_cache(path, ctx, bound, reps)
+    return reps
 
 
 # -- classification of standard classes --------------------------------------

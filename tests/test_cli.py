@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -119,13 +120,69 @@ class TestOrbit:
         cache = tmp_path / "orbit_n2_r9_b3.jsonl"
         assert cache.exists()
         header = json.loads(cache.read_text().splitlines()[0])
-        assert header == {"bound": 3, "ctx": {"n": 2, "r": 9}}
+        assert header == {"bound": 3, "ctx": {"n": 2, "r": 9}, "format": 2,
+                          "representatives": 4}
 
     def test_cache_reused(self, capsys, tmp_path):
         run(capsys, "orbit", "5", "--bound", "2", "--cache-dir", str(tmp_path))
         stamp = (tmp_path / "orbit_n2_r5_b2.jsonl").stat().st_mtime_ns
         run(capsys, "orbit", "5", "--bound", "2", "--cache-dir", str(tmp_path))
         assert (tmp_path / "orbit_n2_r5_b2.jsonl").stat().st_mtime_ns == stamp
+
+
+class TestOrbitGolden:
+    """SHA-256 of the stdout of the full-expansion implementation of `orbit`."""
+
+    GOLDEN = {
+        ("7", "5", True): "7af1066c5dc05fc930d03b84bd79d03ce2a6b9c04198be3fa5bd4b59dcad3209",
+        ("9", "6", True): "b4a17e74c8f093f33b2ebeddea4363969d3f480d4a6263bf68fee81c806619f5",
+        ("12", "4", False): "99fd8c0781f90b25998b9613cbd8addf6a4ae8f6f5133e12f1976bc78b2b13ad",
+    }
+
+    @staticmethod
+    def argv(r, bound, listed):
+        return ["orbit", r, "--bound", bound] + (["--list"] if listed else [])
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_stdout_byte_identical(self, capsys, key):
+        code, out = run(capsys, *self.argv(*key))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[key]
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_cached_stdout_byte_identical(self, capsys, tmp_path, key):
+        r, bound, _ = key
+        path = json.dumps(str(tmp_path / f"orbit_n2_r{r}_b{bound}.jsonl"))
+        for _ in ("write", "read"):
+            code, out = run(capsys, *self.argv(*key), "--cache-dir", str(tmp_path))
+            assert code == 0
+            out = out.replace(f'"cache_file": {path}', '"cache_file": null')
+            assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[key]
+
+
+class TestLibraryErrors:
+    """Library ValueErrors exit 2 with one `error:` line instead of a traceback."""
+
+    @staticmethod
+    def assert_error(capsys, *argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_negative_point_count(self, capsys):
+        self.assert_error(capsys, "orbit", "-1", message="number of points r")
+
+    def test_reduce_without_cremona_root(self, capsys):
+        cls = json.dumps({"n": 2, "r": 2, "d": 1, "m": [1, 0]})
+        self.assert_error(capsys, "reduce", cls, message="at least 3 points")
+
+    def test_classify_fails_nef_screen(self, capsys):
+        cls = json.dumps({"n": 2, "r": 5, "d": 1, "m": [1, 1, 0, 0, 0]})
+        self.assert_error(capsys, "classify", cls, "--bound", "2",
+                          message="failed nef screening")
 
 
 class TestDeterminism:
@@ -161,6 +218,11 @@ class TestConfigPrecedence:
         cls = json.dumps({"n": 2, "r": 2, "d": 1, "m": [0, 0]})
         with pytest.raises(SystemExit):
             main(["classify", cls, "--prime", "15"])
+
+    def test_prime_beyond_int64_range_rejected(self, capsys):
+        cls = json.dumps({"n": 2, "r": 2, "d": 1, "m": [0, 0]})
+        with pytest.raises(SystemExit, match="below 2\\^31"):
+            main(["classify", cls, "--prime", str(2 ** 61 - 1)])
 
 
 class TestDemos:

@@ -18,7 +18,7 @@ from fatpoints import (
     sample_nodal_quartic,
 )
 from fatpoints.elliptic import CubicCurve, legendre_symbols
-from fatpoints.oracle import PointConfig, affine_exponents, nullspace_mod_p
+from fatpoints.oracle import PointConfig, affine_exponents, check_prime, nullspace_mod_p
 
 PRIME = 65537
 
@@ -271,6 +271,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             linear_system_dimension(DivisorClass(ctx, 1, (1,)), prime=10,
                                     seeds=(1,))
+
+    def test_prime_range_keeps_int64_products_exact(self):
+        # At p = 2^61 - 1 the products of residues overflowed int64 and the
+        # double conic 4H - 2(E1+...+E5) came out with h0 = 0, a false
+        # certificate of non-effectivity; such primes are now refused.
+        D = DivisorClass(BlowupContext(2, 5), 4, (2,) * 5)
+        for p in (2 ** 61 - 1, 2147483659):   # the latter: least prime > 2^31
+            with pytest.raises(ValueError, match="below 2\\^31"):
+                check_prime(p)
+            with pytest.raises(ValueError):
+                linear_system_dimension(D, prime=p, seeds=(1,))
+        # the largest accepted prime still gives the exact answer
+        assert linear_system_dimension(D, prime=2 ** 31 - 1, seeds=(1, 2)).h0 == 1
+
+    def test_explicit_config_prime_must_exceed_degree(self):
+        ctx = BlowupContext(2, 1)
+        cfg = PointConfig(n=2, prime=3, points=((1, 2),))
+        with pytest.raises(ValueError, match="must exceed the degree"):
+            h0_at_config(DivisorClass(ctx, 4, (1,)), cfg)
+        with pytest.raises(ValueError, match="must exceed the degree"):
+            linear_system_dimension(DivisorClass(ctx, 4, (1,)), config=cfg)
 
     def test_h0_plus_rank_is_column_count(self):
         ctx = BlowupContext(2, 10)

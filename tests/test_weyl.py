@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
+from sympy.utilities.iterables import multiset_permutations
 
 from fatpoints import (
     BlowupContext,
@@ -15,15 +17,23 @@ from fatpoints import (
     fundamental_roots,
     hyperplane,
     is_minus_one_class,
+    iter_minus_one_orbit,
     minus_k,
     minus_one_orbit,
+    minus_one_orbit_count,
     minus_one_orbit_representatives,
     pair,
     reduce_class,
     reflect,
     standard_class_kind,
 )
-from fatpoints.weyl import read_orbit_cache, write_orbit_cache
+from fatpoints.weyl import (
+    OrbitCacheError,
+    cached_minus_one_orbit,
+    orbit_cache_path,
+    read_orbit_cache,
+    write_orbit_cache,
+)
 
 
 def random_class(rng, ctx, lo=-5, hi=8):
@@ -247,15 +257,112 @@ class TestOrbit:
         assert minus_one_orbit(ctx, 3) == minus_one_orbit(ctx, 3)
 
 
+class TestOrbitFromRepresentatives:
+    RANGE = [(r, bound) for r in range(11) for bound in range(7)]
+
+    def test_count_equals_orbit_length(self):
+        for r, bound in self.RANGE:
+            ctx = BlowupContext(2, r)
+            assert minus_one_orbit_count(ctx, bound) == len(minus_one_orbit(ctx, bound)), (r, bound)
+
+    def test_lazy_listing_matches_multiset_expansion_in_order(self):
+        for r, bound in self.RANGE:
+            ctx = BlowupContext(2, r)
+            expanded = sorted((d, tuple(perm))
+                              for d, m in minus_one_orbit_representatives(ctx, bound)
+                              for perm in multiset_permutations(list(m)))
+            assert list(iter_minus_one_orbit(ctx, bound)) == expanded, (r, bound)
+
+    def test_orbit_is_built_from_the_lazy_listing(self):
+        ctx = BlowupContext(2, 8)
+        assert [(int(C.d), tuple(int(x) for x in C.m)) for C in minus_one_orbit(ctx, 4)] \
+            == list(iter_minus_one_orbit(ctx, 4))
+
+    def test_listing_is_lazy(self):
+        ctx = BlowupContext(2, 10)
+        first = next(iter(iter_minus_one_orbit(ctx, 12)))
+        assert first == (0, (-1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+
+
 class TestOrbitCache:
     def test_round_trip(self, tmp_path):
         ctx = BlowupContext(2, 5)
-        classes = minus_one_orbit(ctx, 2)
+        reps = minus_one_orbit_representatives(ctx, 2)
         path = tmp_path / "orbit.jsonl"
-        write_orbit_cache(path, ctx, 2, classes)
-        ctx2, bound2, classes2 = read_orbit_cache(path)
+        write_orbit_cache(path, ctx, 2, reps)
+        ctx2, bound2, reps2 = read_orbit_cache(path)
         assert (ctx2, bound2) == (ctx, 2)
-        assert classes2 == classes
+        assert reps2 == reps
+
+    @staticmethod
+    def cached(tmp_path, r=7, bound=4):
+        ctx = BlowupContext(2, r)
+        path = orbit_cache_path(tmp_path, ctx, bound)
+        reps = cached_minus_one_orbit(ctx, bound, tmp_path)
+        assert reps == minus_one_orbit_representatives(ctx, bound)
+        return ctx, path, reps
+
+    def assert_rejected_then_regenerated(self, tmp_path, ctx, path, reps, bound=4):
+        with pytest.raises(OrbitCacheError):
+            read_orbit_cache(path)
+        assert cached_minus_one_orbit(ctx, bound, tmp_path) == reps
+        assert read_orbit_cache(path) == (ctx, bound, reps)
+
+    def test_tampered_line_rejected(self, tmp_path):
+        ctx, path, reps = self.cached(tmp_path)
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[3])
+        entry["d"] += 1
+        lines[3] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        self.assert_rejected_then_regenerated(tmp_path, ctx, path, reps)
+
+    def test_unsorted_line_rejected(self, tmp_path):
+        ctx, path, reps = self.cached(tmp_path)
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[-1])
+        entry["m"] = entry["m"][::-1]
+        lines[-1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        self.assert_rejected_then_regenerated(tmp_path, ctx, path, reps)
+
+    def test_torn_file_rejected(self, tmp_path):
+        ctx, path, reps = self.cached(tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        self.assert_rejected_then_regenerated(tmp_path, ctx, path, reps)
+
+    def test_file_torn_at_line_boundary_rejected(self, tmp_path):
+        ctx, path, reps = self.cached(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        self.assert_rejected_then_regenerated(tmp_path, ctx, path, reps)
+
+    def test_empty_file_rejected(self, tmp_path):
+        ctx, path, reps = self.cached(tmp_path)
+        path.write_text("")
+        self.assert_rejected_then_regenerated(tmp_path, ctx, path, reps)
+
+    def test_old_format_rejected(self, tmp_path):
+        ctx, path, reps = self.cached(tmp_path)
+        # the unversioned format: header without "format", then every member
+        lines = [json.dumps({"bound": 4, "ctx": {"n": 2, "r": 7}})]
+        lines += [json.dumps({"n": 2, "r": 7, "d": d, "m": list(m)})
+                  for d, m in iter_minus_one_orbit(ctx, 4)]
+        path.write_text("\n".join(lines) + "\n")
+        self.assert_rejected_then_regenerated(tmp_path, ctx, path, reps)
+
+    def test_other_key_regenerated(self, tmp_path):
+        ctx, path, reps = self.cached(tmp_path)
+        write_orbit_cache(path, ctx, 3, minus_one_orbit_representatives(ctx, 3))
+        assert cached_minus_one_orbit(ctx, 4, tmp_path) == reps
+        assert read_orbit_cache(path) == (ctx, 4, reps)
+
+    def test_valid_file_is_reused(self, tmp_path):
+        ctx, path, reps = self.cached(tmp_path)
+        stamp = path.stat().st_mtime_ns
+        assert cached_minus_one_orbit(ctx, 4, tmp_path) == reps
+        assert path.stat().st_mtime_ns == stamp
 
 
 class TestStandardClassification:
