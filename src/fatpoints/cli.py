@@ -63,18 +63,26 @@ class RunConfig:
     cache_dir: str | None = None
 
     def validate(self) -> "RunConfig":
+        # Config-file values arrive untyped; bool is refused as an int.
+        for key in ("prime", "orbit_bound", "genus_threshold"):
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"{key} must be an integer")
+        if not isinstance(self.seeds, list) or any(type(s) is not int for s in self.seeds):
+            raise ValueError("seeds must be a list of integers")
+        if not isinstance(self.cache_dir, (str, type(None))):
+            raise ValueError("cache_dir must be a string or null")
         try:
             check_prime(self.prime)
         except ValueError as exc:
-            raise SystemExit(f"error: --prime {exc}")
+            raise ValueError(f"--prime {exc}") from exc
         if self.orbit_bound < 1:
-            raise SystemExit("error: --bound must be >= 1")
+            raise ValueError("--bound must be >= 1")
         if self.genus_threshold < 1:
-            raise SystemExit("error: --genus-threshold must be >= 1")
+            raise ValueError("--genus-threshold must be >= 1")
         if self.output not in ("json", "csv", "text"):
-            raise SystemExit(f"error: unknown format {self.output}")
+            raise ValueError(f"unknown format {self.output}")
         if not self.seeds:
-            raise SystemExit("error: need at least one seed")
+            raise ValueError("need at least one seed")
         return self
 
 
@@ -82,6 +90,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("--config must hold a JSON object")
         for key in ("prime", "seeds", "orbit_bound", "genus_threshold",
                     "output", "cache_dir"):
             if key in data:
@@ -107,11 +117,11 @@ def read_class(args: argparse.Namespace) -> DivisorClass:
     elif args.cls:
         text = args.cls
     else:
-        raise SystemExit("error: provide a divisor class (positional JSON or --file)")
+        raise ValueError("provide a divisor class (positional JSON or --file)")
     try:
         return class_from_json(json.loads(text))
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise SystemExit(f"error: malformed class JSON: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"malformed class JSON: {exc}") from exc
 
 
 def emit(payload, cfg: RunConfig, rows_key: str | None = None) -> None:
@@ -182,7 +192,7 @@ def cmd_vdim(args: argparse.Namespace) -> int:
         if binomial_applies:
             payload["identity_holds"] = quad == payload["vdim"]
     elif not binomial_applies:
-        raise SystemExit("error: the binomial virtual dimension needs an "
+        raise ValueError("the binomial virtual dimension needs an "
                          "integral class with nonnegative multiplicities")
     emit(payload, cfg)
     return 0
@@ -228,7 +238,7 @@ def cmd_nef(args: argparse.Namespace) -> int:
         emit(payload, cfg)
         return 0 if agreement else 1
     if ctx.n != 2:
-        raise SystemExit("error: no nef test available for n > 2 with r >= 2^n")
+        raise ValueError("no nef test available for n > 2 with r >= 2^n")
     screen = screen_nef_surface(D, cfg.orbit_bound)
     payload["regime"] = "surface-screen"
     payload["nef_up_to_bound"] = screen.passed
@@ -445,21 +455,17 @@ def _random_valid_bases(ctx8: BlowupContext, samples: int):
 
 
 DEMOS = {
-    "ex-14pts": lambda cfg: demo_ex_14pts(cfg),
-    "ex-mix": lambda cfg: demo_ex_mix(cfg),
-    "lemma-std": lambda cfg: demo_lemma_std(cfg),
-    "orbit-check": lambda cfg: demo_orbit_check(cfg),
-    "quad-family": lambda cfg: demo_quad_family(cfg),
+    "ex-14pts": demo_ex_14pts,
+    "ex-mix": demo_ex_mix,
+    "lemma-std": demo_lemma_std,
+    "orbit-check": demo_orbit_check,
+    "quad-family": demo_quad_family,
 }
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     cfg = load_config(args)
-    runner = DEMOS.get(args.name)
-    if runner is None:
-        raise SystemExit(f"error: unknown demo {args.name!r}; "
-                         f"choose from {sorted(DEMOS)}")
-    payload, ok = runner(cfg)
+    payload, ok = DEMOS[args.name](cfg)
     payload["demo"] = args.name
     emit(payload, cfg, rows_key="rows")
     return 0 if ok else 1
@@ -513,12 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; invalid input from the library exits 2 with a message."""
+    """Run one subcommand; invalid input or an unreadable file exits 2 with a message."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

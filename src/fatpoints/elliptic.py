@@ -103,13 +103,23 @@ class CubicCurve:
         return n
 
     def y_coordinates(self, x: int) -> list[int]:
-        """All y with (x, y) on the curve, via a modular square root."""
-        from sympy.ntheory.residue_ntheory import sqrt_mod
-
-        t = (x * x % self.p * x + self.a * x + self.b) % self.p
+        """All y with (x, y) on the curve: Euler's criterion, then Tonelli-Shanks."""
+        p = self.p
+        t = (x * x % p * x + self.a * x + self.b) % p
         if t == 0:
             return [0]
-        root = sqrt_mod(t, self.p)
-        if root is None:
+        if pow(t, (p - 1) // 2, p) != 1:
             return []
-        return sorted({root, self.p - root})
+        q, m = p - 1, 0
+        while q % 2 == 0:
+            q, m = q // 2, m + 1
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        # Invariants: root^2 = t * u and c has order 2^m.
+        c, u, root = pow(z, q, p), pow(t, q, p), pow(t, (q + 1) // 2, p)
+        while u != 1:
+            i, u2 = 1, u * u % p
+            while u2 != 1:
+                i, u2 = i + 1, u2 * u2 % p
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c, u, root = i, b * b % p, u * b * b % p, root * b % p
+        return sorted({root, p - root})

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .linalg import clear_denominators
+
 Rational = int | Fraction
 
 
@@ -324,17 +326,8 @@ def rr_certifies_effective(D: DivisorClass) -> bool:
 
 def primitive_integer_model(D: DivisorClass) -> DivisorClass:
     """Scale a nonzero class by a positive rational to primitive integer form."""
-    if D.is_zero:
-        return D
-    coeffs = (D.d, *D.m)
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return DivisorClass(D.ctx, Fraction(ints[0], g), [Fraction(v, g) for v in ints[1:]])
+    d, *m = clear_denominators((D.d, *D.m))
+    return DivisorClass(D.ctx, d, m)
 
 
 # -- quadratic field elements ----------------------------------------------

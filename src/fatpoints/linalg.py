@@ -103,6 +103,14 @@ def integer_kernel_of_row(coeffs: Sequence[int]) -> list[list[int]]:
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[piv])]
 
 
+def clear_denominators(values: Sequence[Fraction]) -> list[int]:
+    """The primitive positive integer multiple of a rational vector (0 stays 0)."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * lcm) for v in values]
+    g = math.gcd(*ints) or 1
+    return [v // g for v in ints]
+
+
 def floor_sqrt(x: Fraction) -> int:
     """Largest integer s with s^2 <= x, for rational x >= 0."""
     if x < 0:

@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from sympy import isprime
 
 from .elliptic import CubicCurve, Point
 from .lattice import (
@@ -86,16 +85,18 @@ class OracleBudget:
 
 # Elimination and the derivative tables multiply two residues in int64 and
 # then add or subtract a third, so (p - 1)^2 + p must stay below 2^63; the
-# power of two below sqrt(2^63) keeps that with room to spare.
+# power of two below sqrt(2^63) keeps that with room to spare.  Testing the
+# range first caps trial division at 46,341 steps; a query repeats the check.
 PRIME_LIMIT = 1 << 31
 
 
+@lru_cache(maxsize=64)
 def check_prime(p: int) -> int:
-    if not isprime(p):
-        raise ValueError(f"{p} is not prime")
     if p >= PRIME_LIMIT:
         raise ValueError(f"{p} is too large: primes must be below 2^31 "
                          "so that products of residues fit in int64")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"{p} is not prime")
     return p
 
 
@@ -338,16 +339,17 @@ def conditions_matrix(D: DivisorClass, config: PointConfig) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def rank_mod_p(matrix: np.ndarray, prime: int) -> int:
-    """Exact rank over F_p by in-place Gaussian elimination (int64 numpy)."""
+def _echelon_mod_p(matrix: np.ndarray, prime: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form over F_p and its pivot columns, by forward elimination
+    that updates only the nonzero rows below each pivot (int64 numpy)."""
     A = np.array(matrix, dtype=np.int64) % prime
     rows, cols = A.shape
-    rank = 0
+    pivots: list[int] = []
     for c in range(cols):
+        rank = len(pivots)
         if rank == rows:
             break
-        col = A[rank:, c]
-        nz = np.flatnonzero(col)
+        nz = np.flatnonzero(A[rank:, c])
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
@@ -360,40 +362,29 @@ def rank_mod_p(matrix: np.ndarray, prime: int) -> int:
             sel = rank + 1 + nzb
             factors = below[nzb] * inv % prime
             A[sel, c:] = (A[sel, c:] - factors[:, None] * A[rank, c:]) % prime
-        rank += 1
-    return rank
+        pivots.append(c)
+    return A, pivots
+
+
+def rank_mod_p(matrix: np.ndarray, prime: int) -> int:
+    """Exact rank over F_p by Gaussian elimination."""
+    return len(_echelon_mod_p(matrix, prime)[1])
 
 
 def nullspace_mod_p(matrix: np.ndarray, prime: int) -> list[np.ndarray]:
-    """Basis of the right kernel over F_p (small matrices, plain elimination)."""
-    A = np.array(matrix, dtype=np.int64) % prime
-    rows, cols = A.shape
-    pivots: list[int] = []
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        nz = np.flatnonzero(A[rank:, c])
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, c]), prime - 2, prime)
-        A[rank] = A[rank] * inv % prime
-        others = np.flatnonzero(A[:, c])
-        for i in others:
-            if i != rank:
-                A[i] = (A[i] - A[i, c] * A[rank]) % prime
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(cols) if c not in pivots]
+    """Basis of the right kernel over F_p: for each free column the unique
+    kernel vector that is 1 there and 0 on the other free columns."""
+    A, pivots = _echelon_mod_p(matrix, prime)
+    cols = A.shape[1]
     basis = []
-    for f in free:
+    for f in sorted(set(range(cols)) - set(pivots)):
         v = np.zeros(cols, dtype=np.int64)
         v[f] = 1
-        for row, pc in enumerate(pivots):
-            v[pc] = (-A[row, f]) % prime
+        for row, pc in reversed(list(enumerate(pivots))):
+            # Reduce each product before summing: an int64 dot product of
+            # residues overflows for primes near 2^31.
+            s = int((A[row, pc + 1:] * v[pc + 1:] % prime).sum())
+            v[pc] = -s * pow(int(A[row, pc]), prime - 2, prime) % prime
         basis.append(v)
     return basis
 

@@ -257,17 +257,22 @@ def screen_nef_surface(D: DivisorClass, degree_bound: int) -> NefScreenReport:
 
 @dataclass(frozen=True)
 class GramBasis:
-    """Integer basis of D-perp with its Gram matrix and LDL pivots.
+    """Integer basis of D-perp, its Gram matrix G and one factorization of it.
 
-    The pivots are the LDL diagonal of the Gram matrix; for D^2 > 0 the
-    Hodge index theorem forces them all negative, which `pivots` certifies
-    exactly.
+    G = L diag(pivots) L^T with L unit lower triangular; for D^2 > 0 the
+    Hodge index theorem forces the pivots all negative, which `pivots`
+    certifies exactly.  The genus (x^2 + x.K)/2 + 1 is strictly concave on
+    D-perp; `center` is its maximizer x*, the solution of G x = -k/2 with
+    k_i = B_i.K, and `upper` is the maximum 1 + k.x*/4.
     """
 
     divisor: DivisorClass
     basis: tuple[DivisorClass, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     pivots: tuple[Fraction, ...]
+    L: tuple[tuple[Fraction, ...], ...]
+    center: tuple[Fraction, ...]
+    upper: Fraction
 
 
 def orthogonal_gram(D: DivisorClass) -> GramBasis:
@@ -287,30 +292,27 @@ def orthogonal_gram(D: DivisorClass) -> GramBasis:
     kernel = integer_kernel_of_row(row)
     basis = tuple(DivisorClass(ctx, vec[0], vec[1:]) for vec in kernel)
     gram = tuple(tuple(pair(a, b) for b in basis) for a in basis)
-    if basis:
-        _, pivots = ldl_decompose([list(row_) for row_ in gram])
-    else:
-        pivots = []
+    if not basis:
+        return GramBasis(D, basis, gram, (), (), (), Fraction(1))
+    L, pivots = ldl_decompose(gram)
     if any(p >= 0 for p in pivots):
         raise AssertionError("Hodge index violation: Gram of D-perp not negative definite")
-    return GramBasis(D, basis, gram, tuple(pivots))
+    K = canonical_class(ctx)
+    k = [pair(B, K) for B in basis]
+    center = solve_linear(gram, [-Fraction(ki, 2) for ki in k])
+    upper = 1 + Fraction(1, 4) * sum(ki * xi for ki, xi in zip(k, center))
+    return GramBasis(D, basis, gram, tuple(pivots), tuple(map(tuple, L)),
+                     tuple(center), upper)
 
 
 def orthogonal_genus_upper(D: DivisorClass) -> Fraction:
     """Exact maximum of the genus function over the real span of D-perp.
 
     The genus (x^2 + x.K)/2 + 1 is strictly concave on D-perp, so its
-    continuous maximum -- at the solution of G x = -k/2 -- is a true upper
-    bound for the genus of every class orthogonal to D.
+    continuous maximum -- at the `center` of `orthogonal_gram` -- is a true
+    upper bound for the genus of every class orthogonal to D.
     """
-    gb = orthogonal_gram(D)
-    if not gb.basis:
-        return Fraction(1)
-    K = canonical_class(D.ctx)
-    k = [pair(B, K) for B in gb.basis]
-    x_star = solve_linear([list(r) for r in gb.gram],
-                          [-Fraction(ki, 2) for ki in k])
-    return 1 + Fraction(1, 4) * sum(ki * xi for ki, xi in zip(k, x_star))
+    return orthogonal_gram(D).upper
 
 
 def orthogonal_genus_candidates(D: DivisorClass, threshold: int = 1
@@ -327,17 +329,13 @@ def orthogonal_genus_candidates(D: DivisorClass, threshold: int = 1
     rank = len(gb.basis)
     if rank == 0:
         return ()
-    K = canonical_class(D.ctx)
-    k = [pair(B, K) for B in gb.basis]
-    G = [list(r) for r in gb.gram]
-    x_star = solve_linear(G, [-Fraction(ki, 2) for ki in k])
-    q_star = 1 + Fraction(1, 4) * sum(ki * xi for ki, xi in zip(k, x_star))
-    radius2 = 2 * (q_star - threshold)
+    radius2 = 2 * (gb.upper - threshold)
     if radius2 < 0:
         return ()
-    # -G is positive definite: factor and walk coordinates from the last.
-    A = [[-x for x in row] for row in G]
-    L, pivots = ldl_decompose(A)
+    # -G is positive definite with the same L and negated pivots: walk
+    # coordinates from the last.
+    L, x_star = gb.L, gb.center
+    pivots = [-p for p in gb.pivots]
 
     found: list[tuple] = []
     coords = [0] * rank

@@ -35,7 +35,7 @@ from .lattice import (
     pair,
     _require_surface,
 )
-from .linalg import is_negative_definite, solve_linear
+from .linalg import clear_denominators, is_negative_definite, solve_linear
 
 
 @dataclass(frozen=True)
@@ -479,14 +479,7 @@ def blocking_divisor(curves: Sequence[DivisorClass]) -> DivisorClass:
         raise ArithmeticError(
             "solution is not positive; inputs cannot be classes of distinct "
             "irreducible curves (some off-diagonal pairing is negative)")
-    lcm = 1
-    for x in a:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in a]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    coeffs = [v // g for v in ints]
+    coeffs = clear_denominators(a)
     E = coeffs[0] * curves[0]
     for c, C in zip(coeffs[1:], curves[1:]):
         E = E + c * C

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fatpoints
 from fatpoints.cli import main
 
 
@@ -10,6 +14,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def assert_error(capsys, *argv, message):
+    """Invalid input exits 2 with one `error:` line instead of a traceback."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestVdim:
@@ -28,8 +42,11 @@ class TestVdim:
         assert payload["identity_holds"] is True
 
     def test_malformed_json(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["vdim", "{not json"])
+        assert_error(capsys, "vdim", "{not json", message="malformed class JSON")
+
+    def test_missing_file(self, capsys, tmp_path):
+        assert_error(capsys, "vdim", "--file", str(tmp_path / "absent.json"),
+                     message="absent.json")
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "cls.json"
@@ -160,29 +177,54 @@ class TestOrbitGolden:
             assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[key]
 
 
+class TestStdoutGolden:
+    """SHA-256 of the stdout of runs through the torsion sampler (and its
+    modular square roots), the quadratic null family and the Fincke-Pohst
+    walk, taken from the implementation that computed square roots and
+    primality with sympy."""
+
+    WITNESS = json.dumps({"n": 2, "r": 14, "d": 195, "m": [91] + [46] * 13})
+    GOLDEN = {
+        "ex-mix": (("demo", "ex-mix"),
+                   "72b0ef2ddf2eb2535ad890e582b39f58c6fe9ad377f2aaf1b33760d69883e6dc"),
+        "quad-family": (("demo", "quad-family"),
+                        "a83f105950f5dd580572a2f12d480a69a2e7b43554ac8faac711229de7024ce0"),
+        "classify-195H": (("classify", WITNESS, "--bound", "5"),
+                          "176fc71b6b37fe6e5d7376c3d176b566b95c1ab0cf4f2688a37258434db3e40f"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_stdout_byte_identical(self, capsys, name):
+        argv, digest = self.GOLDEN[name]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sympy_not_loaded():
+    src = os.path.dirname(os.path.dirname(fatpoints.__file__))
+    code = ("import sys, fatpoints.cli\n"
+            "from fatpoints.oracle import sample_cubic_torsion\n"
+            "sample_cubic_torsion(65537, 1)\n"
+            "print('sympy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "False"
+
+
 class TestLibraryErrors:
-    """Library ValueErrors exit 2 with one `error:` line instead of a traceback."""
-
-    @staticmethod
-    def assert_error(capsys, *argv, message):
-        code = main(list(argv))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and message in captured.err
-        assert "Traceback" not in captured.err
-
     def test_negative_point_count(self, capsys):
-        self.assert_error(capsys, "orbit", "-1", message="number of points r")
+        assert_error(capsys, "orbit", "-1", message="number of points r")
 
     def test_reduce_without_cremona_root(self, capsys):
         cls = json.dumps({"n": 2, "r": 2, "d": 1, "m": [1, 0]})
-        self.assert_error(capsys, "reduce", cls, message="at least 3 points")
+        assert_error(capsys, "reduce", cls, message="at least 3 points")
 
     def test_classify_fails_nef_screen(self, capsys):
         cls = json.dumps({"n": 2, "r": 5, "d": 1, "m": [1, 1, 0, 0, 0]})
-        self.assert_error(capsys, "classify", cls, "--bound", "2",
-                          message="failed nef screening")
+        assert_error(capsys, "classify", cls, "--bound", "2",
+                     message="failed nef screening")
 
 
 class TestDeterminism:
@@ -216,13 +258,35 @@ class TestConfigPrecedence:
 
     def test_bad_prime_rejected(self, capsys):
         cls = json.dumps({"n": 2, "r": 2, "d": 1, "m": [0, 0]})
-        with pytest.raises(SystemExit):
-            main(["classify", cls, "--prime", "15"])
+        assert_error(capsys, "classify", cls, "--prime", "15",
+                     message="--prime 15 is not prime")
 
     def test_prime_beyond_int64_range_rejected(self, capsys):
         cls = json.dumps({"n": 2, "r": 2, "d": 1, "m": [0, 0]})
-        with pytest.raises(SystemExit, match="below 2\\^31"):
-            main(["classify", cls, "--prime", str(2 ** 61 - 1)])
+        assert_error(capsys, "classify", cls, "--prime", str(2 ** 61 - 1),
+                     message="below 2^31")
+
+    @pytest.mark.parametrize("data, message", [
+        ({"prime": "65537"}, "prime must be an integer"),
+        ({"orbit_bound": True}, "orbit_bound must be an integer"),
+        ({"genus_threshold": 1.0}, "genus_threshold must be an integer"),
+        ({"seeds": "12"}, "seeds must be a list of integers"),
+        ({"seeds": [1, False]}, "seeds must be a list of integers"),
+        ({"seeds": []}, "need at least one seed"),
+        ({"cache_dir": 5}, "cache_dir must be a string or null"),
+        ([1, 2], "--config must hold a JSON object"),
+    ], ids=["prime", "orbit_bound", "genus_threshold", "seeds", "seed", "no-seeds",
+            "cache_dir", "not-an-object"])
+    def test_config_value_types_checked(self, capsys, tmp_path, data, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        cls = json.dumps({"n": 2, "r": 2, "d": 1, "m": [0, 0]})
+        assert_error(capsys, "vdim", cls, "--config", str(config), message=message)
+
+    def test_missing_config(self, capsys, tmp_path):
+        cls = json.dumps({"n": 2, "r": 2, "d": 1, "m": [0, 0]})
+        assert_error(capsys, "vdim", cls, "--config", str(tmp_path / "absent.json"),
+                     message="absent.json")
 
 
 class TestDemos:

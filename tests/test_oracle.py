@@ -74,6 +74,31 @@ class TestEllipticCurve:
             P = (x, ys[0])
             assert curve.multiply(n, P) is None
 
+    def test_y_coordinates_match_square_scan(self):
+        # p - 1 has 2-adic valuation 1, 1, 4, 5 and 8: every branch of
+        # Tonelli-Shanks runs.
+        for p in (7, 11, 113, 97, 257):
+            squares = {}
+            for y in range(p):
+                squares.setdefault(y * y % p, []).append(y)
+            for a, b in ((1, 1), (2, 3), (3, 5)):
+                try:
+                    curve = CubicCurve(a, b, p)
+                except ValueError:
+                    continue
+                for x in range(p):
+                    t = (x ** 3 + a * x + b) % p
+                    assert curve.y_coordinates(x) == sorted(squares.get(t, []))
+
+    def test_y_coordinates_match_sympy_at_65537(self):
+        # 65536 = 2^16: the longest Tonelli-Shanks descent for this prime.
+        from sympy.ntheory.residue_ntheory import sqrt_mod
+
+        curve = CubicCurve(2, 3, PRIME)
+        for x in range(0, PRIME, 29):
+            t = (x ** 3 + 2 * x + 3) % PRIME
+            assert curve.y_coordinates(x) == sorted(sqrt_mod(t, PRIME, all_roots=True))
+
     def test_legendre(self):
         p = 103
         syms = legendre_symbols(np.arange(p, dtype=np.int64), p)
@@ -98,16 +123,30 @@ class TestRank:
             # large prime
             assert rank_mod_p(M, PRIME) == expected
 
-    def test_nullspace(self):
+    @staticmethod
+    def check_nullspace(p, size):
         rng = np.random.default_rng(7)
-        p = 101
         for _ in range(20):
-            rows, cols = rng.integers(1, 8, size=2)
+            rows, cols = rng.integers(1, size, size=2)
             M = rng.integers(0, p, size=(int(rows), int(cols)))
+            M[:, -1] = M[:, 0]          # a free column past the first pivot
             basis = nullspace_mod_p(M, p)
             assert len(basis) == int(cols) - rank_mod_p(M, p)
-            for v in basis:
-                assert not (M @ v % p).any()
+            # Column c is free iff it lies in the span of the columns before it.
+            free = [c for c in range(cols)
+                    if rank_mod_p(M[:, :c + 1], p) == rank_mod_p(M[:, :c], p)]
+            assert len(free) == len(basis)
+            for f, v in zip(free, basis):
+                assert [int(v[c]) for c in free] == [int(c == f) for c in free]
+                assert not (M.astype(object) @ v.astype(object) % p).any()
+
+    def test_nullspace(self):
+        self.check_nullspace(101, 8)
+
+    def test_nullspace_near_int64_limit(self):
+        # A plain int64 dot product of residues near 2^31 overflows after a
+        # few terms, so this prime gets wide matrices.
+        self.check_nullspace(2 ** 31 - 1, 40)
 
 
 class TestConditionsMatrix:
@@ -257,6 +296,28 @@ class TestSamplers:
         assert h0 >= 1
 
 
+    NODAL_POINTS = {
+        1: ((40938, 62486), (23274, 35823), (20376, 37426), (7757, 34491),
+            (55255, 25481), (7893, 13754), (61574, 21824), (41871, 35785),
+            (16969, 55293), (24867, 54742), (25620, 22381), (10880, 28699),
+            (22346, 4323), (37212, 22314)),
+        2: ((57141, 7787), (17001, 41588), (6749, 1473), (54067, 21618),
+            (20856, 4183), (57877, 37901), (34916, 16241), (27480, 62738),
+            (32590, 40305), (10382, 32507), (9948, 14738), (51006, 54998),
+            (20676, 63185), (65341, 32418)),
+        3: ((56053, 6850), (54622, 56248), (9344, 30410), (35679, 23654),
+            (34081, 14427), (31806, 24421), (47765, 53099), (8137, 50731),
+            (17473, 57029), (33765, 50218), (22242, 3021), (54393, 5078),
+            (11316, 28656), (52109, 63935)),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(NODAL_POINTS))
+    def test_nodal_quartic_points_frozen(self, seed):
+        # Drawn through the kernel basis of the node conditions, so this
+        # pins the shape of every vector nullspace_mod_p returns.
+        assert sample_nodal_quartic(PRIME, seed).points == self.NODAL_POINTS[seed]
+
+
 class TestConfigValidation:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
@@ -284,6 +345,21 @@ class TestConfigValidation:
                 linear_system_dimension(D, prime=p, seeds=(1,))
         # the largest accepted prime still gives the exact answer
         assert linear_system_dimension(D, prime=2 ** 31 - 1, seeds=(1, 2)).h0 == 1
+
+    def test_check_prime_matches_sympy(self):
+        from sympy import isprime
+
+        rng = random.Random(2024)
+        cases = [*range(5000), *(rng.randrange(2 ** 31) for _ in range(3000)), 2 ** 31 - 1]
+        for n in cases:
+            try:
+                accepted = check_prime(n) == n
+            except ValueError:
+                accepted = False
+            assert accepted == isprime(n), n
+        # composites at or above 2^31 are refused as too large
+        with pytest.raises(ValueError, match="too large"):
+            check_prime(2 ** 31 + 1)
 
     def test_explicit_config_prime_must_exceed_degree(self):
         ctx = BlowupContext(2, 1)

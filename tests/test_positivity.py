@@ -208,6 +208,27 @@ class TestOrthogonalGram:
             assert all(p < 0 for p in gb.pivots)
             count += 1
 
+    def test_factors_reproduce_gram_and_center(self):
+        rng = random.Random(68)
+        count = 0
+        while count < 60:
+            ctx = BlowupContext(2, rng.randint(0, 12))
+            D = random_class(rng, ctx, d_range=(1, 9), m_range=(-4, 6))
+            if pair(D, D) <= 0:
+                continue
+            gb = orthogonal_gram(D)
+            n = len(gb.basis)
+            K = canonical_class(ctx)
+            for i in range(n):
+                assert gb.L[i][i] == 1 and not any(gb.L[i][i + 1:])
+                for j in range(n):
+                    assert sum(gb.L[i][t] * gb.pivots[t] * gb.L[j][t]
+                               for t in range(n)) == gb.gram[i][j]
+                assert (sum(gb.gram[i][j] * gb.center[j] for j in range(n))
+                        == -pair(gb.basis[i], K) / 2)
+            assert gb.upper == 1 + sum(pair(B, K) * x for B, x in zip(gb.basis, gb.center)) / 4
+            count += 1
+
     def test_rejects_nonpositive_square(self):
         ctx = BlowupContext(2, 2)
         with pytest.raises(ValueError):
