@@ -89,35 +89,35 @@ class RunConfig:
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        data = json.loads(read_input(args.config))
         if not isinstance(data, dict):
             raise ValueError("--config must hold a JSON object")
         for key in ("prime", "seeds", "orbit_bound", "genus_threshold",
                     "output", "cache_dir"):
             if key in data:
                 setattr(cfg, key, data[key])
-    if args.prime is not None:
-        cfg.prime = args.prime
+    for key, value in (("prime", args.prime), ("orbit_bound", args.bound),
+                       ("genus_threshold", args.genus_threshold),
+                       ("output", args.format), ("cache_dir", args.cache_dir)):
+        if value is not None:
+            setattr(cfg, key, value)
     if args.seed:
         cfg.seeds = list(args.seed)
-    if args.bound is not None:
-        cfg.orbit_bound = args.bound
-    if args.genus_threshold is not None:
-        cfg.genus_threshold = args.genus_threshold
-    if args.format is not None:
-        cfg.output = args.format
-    if args.cache_dir is not None:
-        cfg.cache_dir = args.cache_dir
     return cfg.validate()
 
 
+def read_input(path: str) -> str:
+    """Text of a --config or --file path; an unreadable one is invalid input."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def read_class(args: argparse.Namespace) -> DivisorClass:
-    if args.file:
-        text = Path(args.file).read_text()
-    elif args.cls:
-        text = args.cls
-    else:
+    if not (args.file or args.cls):
         raise ValueError("provide a divisor class (positional JSON or --file)")
+    text = read_input(args.file) if args.file else args.cls
     try:
         return class_from_json(json.loads(text))
     except ValueError as exc:
@@ -134,8 +134,7 @@ def emit(payload, cfg: RunConfig, rows_key: str | None = None) -> None:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=sorted(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         print(buf.getvalue().rstrip("\n"))
         return
     # text: stable flat rendering
@@ -519,12 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; invalid input or an unreadable file exits 2 with a message."""
+    """Run one subcommand; invalid input exits 2 with a message."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,11 +86,10 @@ class OracleBudget:
 # Elimination and the derivative tables multiply two residues in int64 and
 # then add or subtract a third, so (p - 1)^2 + p must stay below 2^63; the
 # power of two below sqrt(2^63) keeps that with room to spare.  Testing the
-# range first caps trial division at 46,341 steps; a query repeats the check.
+# range first caps trial division at 46,341 steps.
 PRIME_LIMIT = 1 << 31
 
 
-@lru_cache(maxsize=64)
 def check_prime(p: int) -> int:
     if p >= PRIME_LIMIT:
         raise ValueError(f"{p} is too large: primes must be below 2^31 "

@@ -146,6 +146,14 @@ class TestOrbit:
         run(capsys, "orbit", "5", "--bound", "2", "--cache-dir", str(tmp_path))
         assert (tmp_path / "orbit_n2_r5_b2.jsonl").stat().st_mtime_ns == stamp
 
+    def test_cache_write_fault_is_not_invalid_input(self, tmp_path):
+        # Exit 2 means invalid input; a cache directory that cannot be
+        # created is an I/O fault and propagates as one.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(OSError):
+            main(["orbit", "7", "--bound", "3", "--cache-dir", str(blocker)])
+
 
 class TestOrbitGolden:
     """SHA-256 of the stdout of the full-expansion implementation of `orbit`."""

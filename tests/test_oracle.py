@@ -126,10 +126,14 @@ class TestRank:
     @staticmethod
     def check_nullspace(p, size):
         rng = np.random.default_rng(7)
-        for _ in range(20):
+        # Unit upper triangular, so full column rank: the kernel is empty.
+        square = np.triu(rng.integers(0, p, size=(5, 5)), 1) + np.eye(5, dtype=np.int64)
+        assert nullspace_mod_p(square, p) == []
+        for i in range(20):
             rows, cols = rng.integers(1, size, size=2)
             M = rng.integers(0, p, size=(int(rows), int(cols)))
-            M[:, -1] = M[:, 0]          # a free column past the first pivot
+            if i % 2:
+                M[:, -1] = M[:, 0]      # a free column past the first pivot
             basis = nullspace_mod_p(M, p)
             assert len(basis) == int(cols) - rank_mod_p(M, p)
             # Column c is free iff it lies in the span of the columns before it.
