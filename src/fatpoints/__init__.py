@@ -46,9 +46,7 @@ from .weyl import (
     difference_root,
     fundamental_roots,
     is_minus_one_class,
-    iter_minus_one_orbit,
     minus_one_orbit,
-    minus_one_orbit_count,
     minus_one_orbit_representatives,
     reduce_class,
     reflect,

@@ -119,16 +119,9 @@ class DivisorClass:
 
     def text(self) -> str:
         """Canonical human-readable form ``dH - m1 E1 - ... - mr Er``."""
-        parts = [f"{format_rational(self.d)}H"]
-        for i, mi in enumerate(self.m, start=1):
-            if mi >= 0:
-                parts.append(f"- {format_rational(mi)} E{i}")
-            else:
-                parts.append(f"+ {format_rational(-mi)} E{i}")
-        return " ".join(parts)
+        return _class_text(self.d, self.m, "H", "E")
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
 
 @dataclass(frozen=True)
@@ -154,16 +147,19 @@ class CurveClass:
         object.__setattr__(self, "mu", mm)
 
     def text(self) -> str:
-        parts = [f"{format_rational(self.delta)}h"]
-        for i, mi in enumerate(self.mu, start=1):
-            if mi >= 0:
-                parts.append(f"- {format_rational(mi)} e{i}")
-            else:
-                parts.append(f"+ {format_rational(-mi)} e{i}")
-        return " ".join(parts)
+        """Canonical human-readable form ``delta h - mu1 e1 - ... - mur er``."""
+        return _class_text(self.delta, self.mu, "h", "e")
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
+
+
+def _class_text(lead: Fraction, coeffs: Sequence[Fraction], h: str, e: str) -> str:
+    """``lead h - c1 e1 - ...``, with ``+ |ci|`` for negative coefficients."""
+    parts = [f"{format_rational(lead)}{h}"]
+    for i, c in enumerate(coeffs, start=1):
+        sign, size = ("-", c) if c >= 0 else ("+", -c)
+        parts.append(f"{sign} {format_rational(size)} {e}{i}")
+    return " ".join(parts)
 
 
 # -- constructors ---------------------------------------------------------

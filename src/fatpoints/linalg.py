@@ -18,27 +18,6 @@ class LinearAlgebraError(ArithmeticError):
     pass
 
 
-def solve_linear(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve A x = b exactly by Gaussian elimination with partial pivoting."""
-    n = len(A)
-    if n == 0:
-        return []
-    M = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(A, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col] != 0), None)
-        if piv is None:
-            raise LinearAlgebraError("singular system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        for i in range(n):
-            if i == col or M[i][col] == 0:
-                continue
-            f = M[i][col] * inv
-            for j in range(col, n + 1):
-                M[i][j] -= f * M[col][j]
-    return [M[i][n] / M[i][i] for i in range(n)]
-
-
 def ldl_decompose(G: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[Fraction]]:
     """Factor a symmetric rational matrix as G = L diag(pivots) L^T.
 
@@ -65,15 +44,21 @@ def ldl_decompose(G: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[Fractio
     return L, pivots
 
 
-def is_negative_definite(G: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact negative-definiteness test via LDL pivot signs."""
-    if len(G) == 0:
-        return True
-    try:
-        _, pivots = ldl_decompose(G)
-    except LinearAlgebraError:
-        return False
-    return all(p < 0 for p in pivots)
+def solve_linear(L: Sequence[Sequence[Fraction]], pivots: Sequence[Fraction],
+                 b: Sequence[Fraction]) -> list[Fraction]:
+    """Solve L diag(pivots) L^T x = b from the factors of :func:`ldl_decompose`.
+
+    Forward substitution through the unit lower triangular L, one division
+    by each pivot, then back substitution through L^T.
+    """
+    n = len(pivots)
+    y: list[Fraction] = []
+    for i in range(n):
+        y.append(Fraction(b[i]) - sum(L[i][j] * y[j] for j in range(i)))
+    x = [yi / p for yi, p in zip(y, pivots)]
+    for i in reversed(range(n)):
+        x[i] -= sum(L[j][i] * x[j] for j in range(i + 1, n))
+    return x
 
 
 def integer_kernel_of_row(coeffs: Sequence[int]) -> list[list[int]]:

@@ -35,6 +35,7 @@ from .lattice import (
     curve_e,
     curve_h,
     exceptional,
+    gram_matrix,
     hyperplane,
     line_through,
     pair,
@@ -274,6 +275,56 @@ class GramBasis:
     center: tuple[Fraction, ...]
     upper: Fraction
 
+    def genus_candidates(self, threshold: int) -> tuple[DivisorClass, ...]:
+        """All nonzero integer classes in D-perp with genus >= threshold.
+
+        The constraint is an ellipsoid around `center` (the form is negative
+        definite on D-perp), enumerated by a recursive Fincke-Pohst walk
+        over the exact LDL factors; per-coordinate integer bounds come from
+        exact rational square roots, so no candidate is ever lost to
+        rounding.  Output in canonical order.
+        """
+        radius2 = 2 * (self.upper - threshold)
+        if radius2 < 0:
+            return ()
+        # -G is positive definite with the same L and negated pivots: walk
+        # coordinates from the last.
+        L, x_star = self.L, self.center
+        pivots = [-p for p in self.pivots]
+        rank = len(pivots)
+
+        found: list[tuple] = []
+        coords = [0] * rank
+
+        def walk(level: int, used: Fraction) -> None:
+            if level < 0:
+                if any(coords):
+                    found.append(tuple(coords))
+                return
+            shift = -x_star[level] + sum(
+                L[j][level] * (coords[j] - x_star[j]) for j in range(level + 1, rank))
+            budget = (radius2 - used) / pivots[level]
+            for z in quadratic_integer_range(shift, budget):
+                coords[level] = z
+                w = z + shift
+                walk(level - 1, used + pivots[level] * w * w)
+            coords[level] = 0
+
+        walk(rank - 1, Fraction(0))
+
+        D = self.divisor
+        out = []
+        for vec in found:
+            cls = DivisorClass(D.ctx, 0, (0,) * D.ctx.r)
+            for z, B in zip(vec, self.basis):
+                if z:
+                    cls = cls + z * B
+            # Exact postcondition replay; enumeration bugs would surface here.
+            assert pair(cls, D) == 0 and arithmetic_genus(cls) >= threshold
+            out.append(cls)
+        out.sort(key=lambda c: (c.d, c.m))
+        return tuple(out)
+
 
 def orthogonal_gram(D: DivisorClass) -> GramBasis:
     """Saturated integer basis of D-perp plus its negative-definite Gram.
@@ -291,15 +342,13 @@ def orthogonal_gram(D: DivisorClass) -> GramBasis:
     row = [int(D.d)] + [-int(mi) for mi in D.m]
     kernel = integer_kernel_of_row(row)
     basis = tuple(DivisorClass(ctx, vec[0], vec[1:]) for vec in kernel)
-    gram = tuple(tuple(pair(a, b) for b in basis) for a in basis)
-    if not basis:
-        return GramBasis(D, basis, gram, (), (), (), Fraction(1))
+    gram = tuple(map(tuple, gram_matrix(basis)))
     L, pivots = ldl_decompose(gram)
     if any(p >= 0 for p in pivots):
         raise AssertionError("Hodge index violation: Gram of D-perp not negative definite")
     K = canonical_class(ctx)
     k = [pair(B, K) for B in basis]
-    center = solve_linear(gram, [-Fraction(ki, 2) for ki in k])
+    center = solve_linear(L, pivots, [-Fraction(ki, 2) for ki in k])
     upper = 1 + Fraction(1, 4) * sum(ki * xi for ki, xi in zip(k, center))
     return GramBasis(D, basis, gram, tuple(pivots), tuple(map(tuple, L)),
                      tuple(center), upper)
@@ -317,56 +366,9 @@ def orthogonal_genus_upper(D: DivisorClass) -> Fraction:
 
 def orthogonal_genus_candidates(D: DivisorClass, threshold: int = 1
                                 ) -> tuple[DivisorClass, ...]:
-    """All nonzero integer classes orthogonal to D with genus >= threshold.
-
-    The constraint is an ellipsoid around the continuous maximizer (the
-    form is negative definite on D-perp), enumerated by a recursive
-    Fincke-Pohst walk over the exact LDL factors; per-coordinate integer
-    bounds come from exact rational square roots, so no candidate is ever
-    lost to rounding.  Output in canonical order.
-    """
-    gb = orthogonal_gram(D)
-    rank = len(gb.basis)
-    if rank == 0:
-        return ()
-    radius2 = 2 * (gb.upper - threshold)
-    if radius2 < 0:
-        return ()
-    # -G is positive definite with the same L and negated pivots: walk
-    # coordinates from the last.
-    L, x_star = gb.L, gb.center
-    pivots = [-p for p in gb.pivots]
-
-    found: list[tuple] = []
-    coords = [0] * rank
-
-    def walk(level: int, used: Fraction) -> None:
-        if level < 0:
-            if any(coords):
-                found.append(tuple(coords))
-            return
-        shift = -x_star[level] + sum(
-            L[j][level] * (coords[j] - x_star[j]) for j in range(level + 1, rank))
-        budget = (radius2 - used) / pivots[level]
-        for z in quadratic_integer_range(shift, budget):
-            coords[level] = z
-            w = z + shift
-            walk(level - 1, used + pivots[level] * w * w)
-        coords[level] = 0
-
-    walk(rank - 1, Fraction(0))
-
-    out = []
-    for vec in sorted(found):
-        cls = DivisorClass(D.ctx, 0, (0,) * D.ctx.r)
-        for z, B in zip(vec, gb.basis):
-            if z:
-                cls = cls + z * B
-        # Exact postcondition replay; enumeration bugs would surface here.
-        assert pair(cls, D) == 0 and arithmetic_genus(cls) >= threshold
-        out.append(cls)
-    out.sort(key=lambda c: (c.d, c.m))
-    return tuple(out)
+    """All nonzero integer classes orthogonal to D with genus >= threshold,
+    in canonical order (see :meth:`GramBasis.genus_candidates`)."""
+    return orthogonal_gram(D).genus_candidates(threshold)
 
 
 # -- effectivity ------------------------------------------------------------------
@@ -444,28 +446,28 @@ def effectivity_verdict(D: DivisorClass,
         return EffectivityReport(Effectivity.EFFECTIVE, route)
 
     if budget is not None:
+        config = budget.config
+        # The oracle works over the supplied configuration's field when
+        # there is one, so that prime is the one that must exceed the degree.
+        prime = budget.prime if config is None else config.prime
         cols = math.comb(int(D.d) + ctx.n, ctx.n)
-        if cols <= budget.max_columns and budget.prime > int(D.d):
-            if budget.config is not None:
-                res = linear_system_dimension(D, config=budget.config)
-                if res.h0 > 0:
-                    return EffectivityReport(
-                        Effectivity.EFFECTIVE,
-                        "interpolation oracle at the supplied configuration",
-                        caveat="position-dependent: certifies effectivity at the "
-                               "supplied points only", h0=res.h0)
-                return EffectivityReport(
-                    Effectivity.NOT_EFFECTIVE,
-                    "interpolation oracle: h0 = 0 at the supplied configuration "
-                    "(semicontinuity pushes vanishing to very general points)",
-                    h0=0)
-            res = linear_system_dimension(D, prime=budget.prime, seeds=budget.seeds)
+        if cols <= budget.max_columns and prime > int(D.d):
+            res = linear_system_dimension(D, prime=prime, seeds=budget.seeds,
+                                          config=config)
+            where = ("sampled points" if config is None
+                     else "the supplied configuration")
             if res.h0 == 0:
                 return EffectivityReport(
                     Effectivity.NOT_EFFECTIVE,
-                    "interpolation oracle: h0 = 0 at sampled points "
+                    f"interpolation oracle: h0 = 0 at {where} "
                     "(semicontinuity pushes vanishing to very general points)",
                     h0=0)
+            if config is not None:
+                return EffectivityReport(
+                    Effectivity.EFFECTIVE,
+                    "interpolation oracle at the supplied configuration",
+                    caveat="position-dependent: certifies effectivity at the "
+                           "supplied points only", h0=res.h0)
             return EffectivityReport(
                 Effectivity.EFFECTIVE,
                 "interpolation oracle at random configurations",
@@ -544,9 +546,8 @@ def classify_asymptotic(D: DivisorClass, *, degree_bound: int = 10,
                          f"(witness {screen.witness})")
     if pair(D, D) <= 0:
         raise ValueError("classification requires a big class (D^2 > 0)")
-    upper = orthogonal_genus_upper(D)
-    candidates = orthogonal_genus_candidates(D, genus_threshold)
-    ordered = sorted(candidates,
+    gb = orthogonal_gram(D)
+    ordered = sorted(gb.genus_candidates(genus_threshold),
                      key=lambda c: (-arithmetic_genus(c), c.d, c.m))
 
     effective: list[tuple[int, DivisorClass, EffectivityReport]] = []
@@ -584,7 +585,7 @@ def classify_asymptotic(D: DivisorClass, *, degree_bound: int = 10,
     report = OrthogonalGenusReport(
         lower=eff_max or 0,
         witnesses=witnesses,
-        upper=upper,
+        upper=gb.upper,
         verdict=verdict,
         undecided=tuple(undecided),
         witness_reports=reports,

@@ -35,7 +35,7 @@ from .lattice import (
     pair,
     _require_surface,
 )
-from .linalg import clear_denominators, is_negative_definite, solve_linear
+from .linalg import LinearAlgebraError, clear_denominators, ldl_decompose, solve_linear
 
 
 @dataclass(frozen=True)
@@ -241,20 +241,6 @@ def minus_one_orbit_representatives(ctx: BlowupContext,
     return sorted(seen)
 
 
-def minus_one_orbit_count(ctx: BlowupContext, degree_bound: int) -> int:
-    """Size of the orbit of E_r up to the degree bound, without expanding it."""
-    return orbit_size(minus_one_orbit_representatives(ctx, degree_bound))
-
-
-def iter_minus_one_orbit(ctx: BlowupContext,
-                         degree_bound: int) -> Iterator[Representative]:
-    """The orbit of E_r up to the degree bound as lazy (d, m) int tuples.
-
-    Same members and order as :func:`minus_one_orbit`.
-    """
-    return expand_representatives(minus_one_orbit_representatives(ctx, degree_bound))
-
-
 def minus_one_orbit(ctx: BlowupContext, degree_bound: int) -> list[DivisorClass]:
     """The full orbit of E_r under the Weyl group, up to the degree bound.
 
@@ -262,7 +248,8 @@ def minus_one_orbit(ctx: BlowupContext, degree_bound: int) -> list[DivisorClass]
     its multiplicities; the output order is canonical (by degree, then by
     the multiplicity vector), independent of the search order.
     """
-    return [DivisorClass(ctx, d, m) for d, m in iter_minus_one_orbit(ctx, degree_bound)]
+    reps = minus_one_orbit_representatives(ctx, degree_bound)
+    return [DivisorClass(ctx, d, m) for d, m in expand_representatives(reps)]
 
 
 def orbit_size(representatives: Iterable[Representative]) -> int:
@@ -460,8 +447,9 @@ def blocking_divisor(curves: Sequence[DivisorClass]) -> DivisorClass:
     """An effective combination pairing negatively with every input class.
 
     Given classes whose Gram matrix is negative definite (as happens for
-    distinct irreducible curves orthogonal to a big nef class), solve
-    Gram a = -(1, ..., 1) exactly and clear denominators; the solution has
+    distinct irreducible curves orthogonal to a big nef class), factor the
+    Gram once, solve Gram a = -(1, ..., 1) exactly from its LDL factors and
+    clear denominators; the solution has
     positive coefficients whenever the off-diagonal pairings are
     nonnegative, which holds for classes of distinct irreducible curves.
     """
@@ -471,10 +459,14 @@ def blocking_divisor(curves: Sequence[DivisorClass]) -> DivisorClass:
     for c in curves[1:]:
         if c.ctx != ctx:
             raise ValueError("context mismatch among input classes")
-    G = gram_matrix(curves)
-    if not is_negative_definite(G):
+    try:
+        L, pivots = ldl_decompose(gram_matrix(curves))
+        definite = all(p < 0 for p in pivots)
+    except LinearAlgebraError:  # a zero pivot
+        definite = False
+    if not definite:
         raise ValueError("Gram matrix is not negative definite")
-    a = solve_linear(G, [Fraction(-1)] * len(curves))
+    a = solve_linear(L, pivots, [Fraction(-1)] * len(curves))
     if any(x <= 0 for x in a):
         raise ArithmeticError(
             "solution is not positive; inputs cannot be classes of distinct "

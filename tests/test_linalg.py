@@ -7,36 +7,41 @@ from fatpoints.linalg import (
     LinearAlgebraError,
     floor_sqrt,
     integer_kernel_of_row,
-    is_negative_definite,
     ldl_decompose,
     quadratic_integer_range,
     rational_sqrt,
     solve_linear,
 )
+from tests_support import ldl_negative_definite
+
+
+def ldl_solve(A, b):
+    L, pivots = ldl_decompose(A)
+    return solve_linear(L, pivots, b)
 
 
 def test_solve_small_system():
     A = [[Q(-2), Q(1)], [Q(1), Q(-1)]]
-    assert solve_linear(A, [Q(-1), Q(-1)]) == [Q(2), Q(3)]
+    assert ldl_solve(A, [Q(-1), Q(-1)]) == [Q(2), Q(3)]
 
 
 def test_solve_singular_raises():
     with pytest.raises(LinearAlgebraError):
-        solve_linear([[Q(1), Q(1)], [Q(2), Q(2)]], [Q(0), Q(1)])
+        ldl_decompose([[Q(1), Q(1)], [Q(1), Q(1)]])
 
 
 def test_solve_random_exact():
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(1, 6)
-        A = [[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+        B = [[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+        sign = rng.choice((1, -1))
+        # +-(B^T B + I): symmetric definite of either sign.
+        A = [[sign * (sum(B[k][i] * B[k][j] for k in range(n)) + (1 if i == j else 0))
+              for j in range(n)] for i in range(n)]
         x = [Q(rng.randint(-7, 7), rng.randint(1, 3)) for _ in range(n)]
         b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(n)]
-        try:
-            got = solve_linear(A, b)
-        except LinearAlgebraError:
-            continue
-        assert got == x
+        assert ldl_solve(A, b) == x
 
 
 def test_ldl_reconstructs():
@@ -55,12 +60,12 @@ def test_ldl_reconstructs():
 
 
 def test_negative_definite_detects():
-    assert is_negative_definite([[Q(-1), Q(0)], [Q(0), Q(-1)]])
-    assert is_negative_definite([[Q(-2), Q(1)], [Q(1), Q(-1)]])
-    assert not is_negative_definite([[Q(1)]])
-    assert not is_negative_definite([[Q(0), Q(1)], [Q(1), Q(0)]])
-    assert not is_negative_definite([[Q(-1), Q(2)], [Q(2), Q(-1)]])
-    assert is_negative_definite([])
+    assert ldl_negative_definite([[Q(-1), Q(0)], [Q(0), Q(-1)]])
+    assert ldl_negative_definite([[Q(-2), Q(1)], [Q(1), Q(-1)]])
+    assert not ldl_negative_definite([[Q(1)]])
+    assert not ldl_negative_definite([[Q(0), Q(1)], [Q(1), Q(0)]])
+    assert not ldl_negative_definite([[Q(-1), Q(2)], [Q(2), Q(-1)]])
+    assert ldl_negative_definite([])
 
 
 def test_integer_kernel_spans_and_saturates():

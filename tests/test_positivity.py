@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +10,7 @@ from fatpoints import (
     DivisorClass,
     Effectivity,
     OracleBudget,
+    PointConfig,
     SpecialityTag,
     arithmetic_genus,
     canonical_class,
@@ -410,8 +412,47 @@ class TestEffectivity:
         rep = effectivity_verdict(D, None)
         assert rep.status is Effectivity.EFFECTIVE
 
+    def test_configuration_prime_guards_the_degree(self):
+        # The budget's default prime exceeds d = 2, the configuration's
+        # prime 2 does not: no oracle call, so no ValueError out of it.
+        ctx = BlowupContext(2, 2)
+        cfg = PointConfig(n=2, prime=2, points=((0, 0), (1, 0)))
+        rep = effectivity_verdict(DivisorClass(ctx, 2, (2, 2)), OracleBudget(config=cfg))
+        assert rep.status is Effectivity.UNKNOWN
+
+    def test_configuration_prime_overrides_budget_prime(self):
+        ctx = BlowupContext(2, 2)
+        cfg = PointConfig(n=2, prime=65537, points=((0, 0), (1, 0)))
+        rep = effectivity_verdict(DivisorClass(ctx, 2, (2, 2)),
+                                  OracleBudget(prime=2, config=cfg))
+        assert rep.status is Effectivity.EFFECTIVE
+        assert rep.route == "interpolation oracle at the supplied configuration"
+        assert rep.h0 == 1
+
 
 class TestClassifier:
+    def test_one_dperp_factorization_per_classification(self, monkeypatch):
+        from fatpoints import positivity
+
+        ctx10, ctx14 = BlowupContext(2, 10), BlowupContext(2, 14)
+        cases = [
+            (hyperplane(BlowupContext(2, 2)), OracleBudget()),
+            (DivisorClass(ctx10, 10, (3,) * 10),
+             OracleBudget(config=sample_cubic_torsion(65537, seed=1))),
+            (speciality_witness(DivisorClass(ctx14, 4, (2,) + (1,) * 13), degree_bound=5),
+             OracleBudget(config=sample_nodal_quartic(65537, seed=3))),
+        ]
+        calls = Counter()
+        for name in ("orthogonal_gram", "ldl_decompose", "solve_linear"):
+            def counted(*args, _name=name, _fn=getattr(positivity, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(positivity, name, counted)
+        for D, budget in cases:
+            calls.clear()
+            classify_asymptotic(D, degree_bound=5, budget=budget)
+            assert calls == {"orthogonal_gram": 1, "ldl_decompose": 1, "solve_linear": 1}
+
     def test_h_two_points_non_special(self):
         verdict = classify_asymptotic(hyperplane(BlowupContext(2, 2)),
                                       degree_bound=5)

@@ -15,12 +15,11 @@ from fatpoints import (
     cremona_root,
     exceptional,
     fundamental_roots,
+    gram_matrix,
     hyperplane,
     is_minus_one_class,
-    iter_minus_one_orbit,
     minus_k,
     minus_one_orbit,
-    minus_one_orbit_count,
     minus_one_orbit_representatives,
     pair,
     reduce_class,
@@ -30,10 +29,13 @@ from fatpoints import (
 from fatpoints.weyl import (
     OrbitCacheError,
     cached_minus_one_orbit,
+    expand_representatives,
     orbit_cache_path,
+    orbit_size,
     read_orbit_cache,
     write_orbit_cache,
 )
+from tests_support import ldl_negative_definite
 
 
 def random_class(rng, ctx, lo=-5, hi=8):
@@ -263,24 +265,26 @@ class TestOrbitFromRepresentatives:
     def test_count_equals_orbit_length(self):
         for r, bound in self.RANGE:
             ctx = BlowupContext(2, r)
-            assert minus_one_orbit_count(ctx, bound) == len(minus_one_orbit(ctx, bound)), (r, bound)
+            reps = minus_one_orbit_representatives(ctx, bound)
+            assert orbit_size(reps) == len(minus_one_orbit(ctx, bound)), (r, bound)
 
     def test_lazy_listing_matches_multiset_expansion_in_order(self):
         for r, bound in self.RANGE:
             ctx = BlowupContext(2, r)
-            expanded = sorted((d, tuple(perm))
-                              for d, m in minus_one_orbit_representatives(ctx, bound)
+            reps = minus_one_orbit_representatives(ctx, bound)
+            expanded = sorted((d, tuple(perm)) for d, m in reps
                               for perm in multiset_permutations(list(m)))
-            assert list(iter_minus_one_orbit(ctx, bound)) == expanded, (r, bound)
+            assert list(expand_representatives(reps)) == expanded, (r, bound)
 
     def test_orbit_is_built_from_the_lazy_listing(self):
         ctx = BlowupContext(2, 8)
         assert [(int(C.d), tuple(int(x) for x in C.m)) for C in minus_one_orbit(ctx, 4)] \
-            == list(iter_minus_one_orbit(ctx, 4))
+            == list(expand_representatives(minus_one_orbit_representatives(ctx, 4)))
 
     def test_listing_is_lazy(self):
         ctx = BlowupContext(2, 10)
-        first = next(iter(iter_minus_one_orbit(ctx, 12)))
+        reps = minus_one_orbit_representatives(ctx, 12)
+        first = next(expand_representatives(reps))
         assert first == (0, (-1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
 
 
@@ -348,7 +352,7 @@ class TestOrbitCache:
         # the unversioned format: header without "format", then every member
         lines = [json.dumps({"bound": 4, "ctx": {"n": 2, "r": 7}})]
         lines += [json.dumps({"n": 2, "r": 7, "d": d, "m": list(m)})
-                  for d, m in iter_minus_one_orbit(ctx, 4)]
+                  for d, m in expand_representatives(minus_one_orbit_representatives(ctx, 4))]
         path.write_text("\n".join(lines) + "\n")
         self.assert_rejected_then_regenerated(tmp_path, ctx, path, reps)
 
@@ -427,10 +431,7 @@ class TestBlockingDivisor:
         pool = minus_one_orbit(ctx, 2)
         for _ in range(40):
             subset = rng.sample(pool, rng.randint(1, 4))
-            from fatpoints import gram_matrix
-            from fatpoints.linalg import is_negative_definite
-
-            if not is_negative_definite(gram_matrix(subset)):
+            if not ldl_negative_definite(gram_matrix(subset)):
                 continue
             if any(pair(a, b) < 0 for i, a in enumerate(subset)
                    for b in subset[i + 1:]):
@@ -442,3 +443,6 @@ class TestBlockingDivisor:
         ctx = BlowupContext(2, 2)
         with pytest.raises(ValueError):
             blocking_divisor([hyperplane(ctx)])
+        # (H - E1)^2 = 0: the LDL stops at a zero pivot, still a ValueError.
+        with pytest.raises(ValueError, match="not negative definite"):
+            blocking_divisor([hyperplane(ctx) - exceptional(ctx, 1)])

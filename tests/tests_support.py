@@ -11,6 +11,16 @@ from fatpoints import (
     reflect,
     screen_nef_surface,
 )
+from fatpoints.linalg import LinearAlgebraError, ldl_decompose
+
+
+def ldl_negative_definite(G):
+    """Negative definiteness by LDL pivot signs; a zero pivot means no."""
+    try:
+        _, pivots = ldl_decompose(G)
+    except LinearAlgebraError:
+        return False
+    return all(p < 0 for p in pivots)
 
 
 def additivity_pairs(count, seed, bound=3):
