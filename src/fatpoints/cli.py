@@ -303,17 +303,16 @@ def demo_ex_14pts(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def demo_ex_mix(cfg: RunConfig) -> tuple[dict, bool]:
-    prime = cfg.prime if cfg.prime <= 1 << 20 else 65537
-    rows = torsion_parity_table(prime=prime, curve_seeds=tuple(cfg.seeds[:2]), n_max=4)
+    rows = torsion_parity_table(prime=cfg.prime, curve_seeds=tuple(cfg.seeds[:2]), n_max=4)
     ok = all(row["h1"] == (0 if row["n"] % 2 else 1) for row in rows)
     curves = {row["curve"] for row in rows}
     ok &= len(curves) >= min(2, len(cfg.seeds))
     return {"rows": rows, "ok": ok}, ok
 
 
-def demo_lemma_std(cfg: RunConfig, r_max: int = 10, d_max: int = 12
-                   ) -> tuple[dict, bool]:
+def demo_lemma_std(cfg: RunConfig) -> tuple[dict, bool]:
     """Exhaustively classify standard classes with D^2 <= 0 >= D.K."""
+    r_max, d_max = 10, 12
     counts = {kind.value: 0 for kind in StandardClassKind}
     checked = 0
     for r in range(0, r_max + 1):
@@ -351,8 +350,8 @@ def _sorted_tuples(r: int, d: int):
     return out
 
 
-def demo_orbit_check(cfg: RunConfig, r: int = 9, bound: int = 5
-                     ) -> tuple[dict, bool]:
+def demo_orbit_check(cfg: RunConfig) -> tuple[dict, bool]:
+    r, bound = 9, 5
     ctx = BlowupContext(2, r)
     orbit = minus_one_orbit(ctx, bound)
     K = canonical_class(ctx)
@@ -408,7 +407,8 @@ def _signed_sorted_tuples(r: int, target_sum: int, target_sq: int):
     return out
 
 
-def demo_quad_family(cfg: RunConfig, samples: int = 100) -> tuple[dict, bool]:
+def demo_quad_family(cfg: RunConfig) -> tuple[dict, bool]:
+    samples = 100
     ctx8 = BlowupContext(2, 8)
     checked = 0
     for B in _random_valid_bases(ctx8, samples):

@@ -7,12 +7,10 @@ vanishing conditions are rows of partial derivatives of the monomials
 (valid verbatim in characteristic p as long as p > d), and h^0 is the
 corank of the resulting matrix over F_p.
 
-Ranks computed at randomly sampled points upper-bound the rank at very
-general points is false -- it is the other way around: the rank can only
-drop at special points, so a *full* rank observed at one configuration
-certifies the very-general value, while a rank deficiency observed at
-random points is strong evidence (and at an explicitly constructed special
-configuration it is a statement about that configuration).
+The rank can only drop at special points, so full rank at any
+configuration certifies the value at very general points, while a rank
+deficiency is evidence only (at an explicitly constructed configuration it
+is a statement about that configuration).
 
 All matrix arithmetic is exact int64 modular arithmetic under numpy; no
 floating point is involved anywhere.
@@ -25,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,13 +71,11 @@ class OracleBudget:
 
     When `config` is provided the system is evaluated at that explicit
     configuration (position-dependent answers, recorded as a caveat);
-    otherwise points are drawn at random for every seed.  `max_columns`
-    caps the interpolation matrix size.
+    otherwise points are drawn at random for every seed.
     """
 
     prime: int = 65537
     seeds: tuple[int, ...] = (1, 2, 3)
-    max_columns: int = 6000
     config: PointConfig | None = None
 
 
@@ -117,8 +113,7 @@ def sample_general(n: int, r: int, prime: int, seed: int) -> PointConfig:
                        source="general-random", meta={"seed": seed})
 
 
-def sample_cubic_torsion(prime: int, seed: int, r: int = 10,
-                         max_attempts: int = 200) -> PointConfig:
+def sample_cubic_torsion(prime: int, seed: int, r: int = 10) -> PointConfig:
     """Ten points on a smooth plane cubic with a 2-torsion constraint.
 
     Draws a Weierstrass curve y^2 = x^3 + ax + b with a rational 2-torsion
@@ -138,7 +133,7 @@ def sample_cubic_torsion(prime: int, seed: int, r: int = 10,
     if prime < 10:
         raise ValueError("prime too small for a torsion configuration")
     rng = random.Random(("cubic-torsion", prime, r, seed).__repr__())
-    for _ in range(max_attempts):
+    for _ in range(200):
         x0 = rng.randrange(prime)
         a = rng.randrange(prime)
         b = (-pow(x0, 3, prime) - a * x0) % prime
@@ -188,8 +183,7 @@ def _torsion_points(curve: CubicCurve, target: Point, r: int,
     return None
 
 
-def sample_nodal_quartic(prime: int, seed: int, r: int = 14,
-                         max_attempts: int = 100) -> PointConfig:
+def sample_nodal_quartic(prime: int, seed: int, r: int = 14) -> PointConfig:
     """A node plus r-1 simple points on a plane quartic over F_p.
 
     Draws a random quartic form constrained to be singular at a random
@@ -202,7 +196,7 @@ def sample_nodal_quartic(prime: int, seed: int, r: int = 14,
     check_prime(prime)
     rng = random.Random(("nodal-quartic", prime, r, seed).__repr__())
     exponents = affine_exponents(2, 4)
-    for _ in range(max_attempts):
+    for _ in range(100):
         node = (rng.randrange(prime), rng.randrange(prime))
         rows = _point_condition_rows(node, multiplicity=2, exponents=exponents,
                                      prime=prime)
@@ -311,9 +305,12 @@ def conditions_matrix(D: DivisorClass, config: PointConfig) -> np.ndarray:
 
     Rows are the derivative conditions (one per derivative order of total
     degree < m_i at the i-th point), columns the degree-d monomials; the
-    row count is sum binom(m_i + n - 1, n) and the column count
-    binom(d + n, n).  Requires p > d so that no falling factorial
-    degenerates in characteristic p.
+    row count is sum binom(m_i + n - 1, n) over the points with m_i >= 1
+    (a multiplicity <= 0 imposes no condition) and the column count
+    binom(d + n, n).  This is the one place a configuration is validated:
+    it must match the class's (n, r), the class must be integral with
+    d >= 0, and the prime must pass `check_prime` and exceed d so that no
+    falling factorial degenerates in characteristic p.
     """
     ctx = D.ctx
     if not D.is_integral:
@@ -323,24 +320,22 @@ def conditions_matrix(D: DivisorClass, config: PointConfig) -> np.ndarray:
     d = int(D.d)
     if d < 0:
         raise ValueError("negative degree has no monomials")
+    check_prime(config.prime)
     if config.prime <= d:
         raise ValueError(f"prime {config.prime} must exceed the degree {d}")
     exponents = affine_exponents(ctx.n, d)
-    blocks = []
+    blocks = [np.zeros((0, len(exponents)), dtype=np.int64)]
     for point, mi in zip(config.points, D.m):
-        mult = int(mi)
-        if mult < 1:
-            raise ValueError("conditions_matrix expects multiplicities >= 1; "
-                             "clamp nonpositive ones upstream")
-        blocks.append(_point_condition_rows(point, mult, exponents, config.prime))
-    if not blocks:
-        return np.zeros((0, len(exponents)), dtype=np.int64)
+        if mi >= 1:
+            blocks.append(_point_condition_rows(point, int(mi), exponents,
+                                                config.prime))
     return np.vstack(blocks)
 
 
 def _echelon_mod_p(matrix: np.ndarray, prime: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form over F_p and its pivot columns, by forward elimination
     that updates only the nonzero rows below each pivot (int64 numpy)."""
+    check_prime(prime)
     A = np.array(matrix, dtype=np.int64) % prime
     rows, cols = A.shape
     pivots: list[int] = []
@@ -423,22 +418,11 @@ def _clamped(D: DivisorClass) -> DivisorClass:
 
 def h0_at_config(D: DivisorClass, config: PointConfig) -> tuple[int, int]:
     """(h0, rank) of the fat-point system at one explicit configuration."""
-    Dc = _clamped(D)
-    d = int(Dc.d)
-    if d < 0:
+    if D.d < 0:
         return 0, 0
-    check_prime(config.prime)
-    if config.prime <= d:
-        raise ValueError(f"prime {config.prime} must exceed the degree {d}")
-    exponents_count = math.comb(d + D.ctx.n, D.ctx.n)
-    active = [(pt, int(mi)) for pt, mi in zip(config.points, Dc.m) if mi >= 1]
-    if not active:
-        return exponents_count, 0
-    exps = affine_exponents(D.ctx.n, d)
-    blocks = [_point_condition_rows(pt, mult, exps, config.prime)
-              for pt, mult in active]
-    rank = rank_mod_p(np.vstack(blocks), config.prime)
-    return exponents_count - rank, rank
+    M = conditions_matrix(D, config)
+    rank = rank_mod_p(M, config.prime)
+    return M.shape[1] - rank, rank
 
 
 def linear_system_dimension(
@@ -447,13 +431,12 @@ def linear_system_dimension(
     prime: int = 65537,
     seeds: Sequence[int] = (1, 2, 3),
     config: PointConfig | None = None,
-    sampler: Callable[[int], PointConfig] | None = None,
 ) -> InterpolationResult:
     """h^0 (and h^1, speciality) of a fat-point system over F_p.
 
     With an explicit `config` the system is evaluated there once.
-    Otherwise one configuration is drawn per seed (uniformly random points,
-    or by `sampler(seed)` when given) and h^0 is minimized over the seeds:
+    Otherwise one configuration of uniformly random points is drawn per
+    seed and h^0 is minimized over the seeds:
     ranks only drop at special configurations, so the minimum is the best
     available upper bound for -- and generically equals -- the value at
     very general points.
@@ -465,10 +448,9 @@ def linear_system_dimension(
     else:
         if not seeds:
             raise ValueError("need at least one seed")
-        check_prime(prime)
         h0 = rank = None
         for seed in seeds:
-            cfg = sampler(seed) if sampler else sample_general(ctx.n, ctx.r, prime, seed)
+            cfg = sample_general(ctx.n, ctx.r, prime, seed)
             h0_s, rank_s = h0_at_config(D, cfg)
             if h0 is None or h0_s < h0:
                 h0, rank = h0_s, rank_s
@@ -530,12 +512,5 @@ def p4_quadric_table(prime: int = 65537, seeds: Sequence[int] = (1, 2, 3),
     rows = []
     for m in range(1, m_max + 1):
         res = linear_system_dimension(m * D, prime=prime, seeds=seeds)
-        rows.append({
-            "m": m,
-            "vdim": res.vdim,
-            "edim": res.edim,
-            "h0": res.h0,
-            "h1": None,
-            "special": res.special,
-        })
+        rows.append({"m": m, **res.as_row()})
     return rows

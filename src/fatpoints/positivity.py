@@ -59,6 +59,10 @@ from .weyl import (
     reduce_class,
 )
 
+# Effectivity queries skip the interpolation oracle for classes with more
+# degree-d monomials (matrix columns) than this.
+ORACLE_MAX_COLUMNS = 6000
+
 
 class ScreeningError(RuntimeError):
     """A constructed class failed its nef screening."""
@@ -451,7 +455,7 @@ def effectivity_verdict(D: DivisorClass,
         # there is one, so that prime is the one that must exceed the degree.
         prime = budget.prime if config is None else config.prime
         cols = math.comb(int(D.d) + ctx.n, ctx.n)
-        if cols <= budget.max_columns and prime > int(D.d):
+        if cols <= ORACLE_MAX_COLUMNS and prime > int(D.d):
             res = linear_system_dimension(D, prime=prime, seeds=budget.seeds,
                                           config=config)
             where = ("sampled points" if config is None

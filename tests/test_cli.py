@@ -318,6 +318,12 @@ class TestDemos:
         assert payload["random_checked"] == 100
         assert payload["nef_screen_bound_10"] is True
 
+    def test_ex_mix_keeps_the_prime(self, capsys):
+        # the torsion sampler counts points exhaustively; a large prime is
+        # refused rather than silently replaced by 65537
+        assert_error(capsys, "demo", "ex-mix", "--prime", "2147483647",
+                     message="use a prime <= 2^20")
+
     def test_unknown_demo_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["demo", "definitely-not-a-demo"])

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fatpoints import (
     exceptional,
     h0_at_config,
     linear_system_dimension,
+    p4_quadric_table,
     rank_mod_p,
     sample_cubic_torsion,
     sample_general,
@@ -147,6 +149,13 @@ class TestRank:
     def test_nullspace(self):
         self.check_nullspace(101, 8)
 
+    @pytest.mark.parametrize("kernel", [rank_mod_p, nullspace_mod_p])
+    def test_kernels_refuse_primes_beyond_int64_range(self, kernel):
+        # At p = 2^61 - 1 products of residues overflow int64 silently.
+        M = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            kernel(M, 2 ** 61 - 1)
+
     def test_nullspace_near_int64_limit(self):
         # A plain int64 dot product of residues near 2^31 overflows after a
         # few terms, so this prime gets wide matrices.
@@ -238,6 +247,9 @@ class TestH0:
         twisted = DivisorClass(ctx, 2, (1, -3))
         cfg = sample_general(2, 2, PRIME, seed=4)
         assert h0_at_config(base, cfg)[0] == h0_at_config(twisted, cfg)[0]
+        # a multiplicity <= 0 imposes no rows
+        assert np.array_equal(conditions_matrix(twisted, cfg),
+                              conditions_matrix(base, cfg))
 
     def test_h1_by_duality_guard(self):
         ctx = BlowupContext(2, 9)
@@ -345,6 +357,9 @@ class TestConfigValidation:
         for p in (2 ** 61 - 1, 2147483659):   # the latter: least prime > 2^31
             with pytest.raises(ValueError, match="below 2\\^31"):
                 check_prime(p)
+            cfg = PointConfig(n=2, prime=p, points=tuple((i, i * i) for i in range(5)))
+            with pytest.raises(ValueError, match="below 2\\^31"):
+                conditions_matrix(D, cfg)
             with pytest.raises(ValueError):
                 linear_system_dimension(D, prime=p, seeds=(1,))
         # the largest accepted prime still gives the exact answer
@@ -372,6 +387,36 @@ class TestConfigValidation:
             h0_at_config(DivisorClass(ctx, 4, (1,)), cfg)
         with pytest.raises(ValueError, match="must exceed the degree"):
             linear_system_dimension(DivisorClass(ctx, 4, (1,)), config=cfg)
+
+    def test_too_few_points_rejected(self):
+        # zip used to drop the third point: h0 = 4 and special instead of
+        # 3 and non-special
+        D = DivisorClass(BlowupContext(2, 3), 2, (1, 1, 1))
+        cfg = sample_general(2, 2, PRIME, seed=1)
+        with pytest.raises(ValueError, match="does not match"):
+            linear_system_dimension(D, config=cfg)
+        with pytest.raises(ValueError, match="does not match"):
+            h0_at_config(D, cfg)
+
+    def test_wrong_dimension_rejected(self):
+        D = DivisorClass(BlowupContext(2, 3), 2, (1, 1, 1))
+        cfg = sample_general(3, 3, PRIME, seed=1)
+        with pytest.raises(ValueError, match="does not match"):
+            h0_at_config(D, cfg)
+
+    def test_non_integral_class_rejected(self):
+        # the degree used to be truncated: 5/2 H - E1 - E2 - E3 gave (3, 3)
+        D = DivisorClass(BlowupContext(2, 3), Fraction(5, 2), (1, 1, 1))
+        cfg = sample_general(2, 3, PRIME, seed=1)
+        with pytest.raises(ValueError, match="integral"):
+            h0_at_config(D, cfg)
+
+    def test_p4_quadric_row_frozen(self):
+        # demo 04 and `demo ex-14pts` read these keys, in this order
+        rows = p4_quadric_table(seeds=(1,), m_max=1)
+        assert [list(row.items()) for row in rows] == [[
+            ("m", 1), ("vdim", 0), ("edim", 0), ("h0", 1), ("h1", None),
+            ("special", False)]]
 
     def test_h0_plus_rank_is_column_count(self):
         ctx = BlowupContext(2, 10)
