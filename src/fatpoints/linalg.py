@@ -1,8 +1,10 @@
 """Exact rational and integer linear algebra helpers.
 
-Small dense problems only (the lattice rank here is r+1 <= ~20), so the
-classical algorithms over `fractions.Fraction` are the right tool: no
-pivot-growth concerns, no floating-point soundness gap.
+Small dense problems only (the lattice rank here is r+1 <= ~20), solved
+exactly: integers where the data are integral (the fraction-free Bareiss
+LDL, the unimodular kernel of one row, integer square roots) and
+`fractions.Fraction` elsewhere.  No floating point anywhere, so there is
+no rounding to account for.
 """
 
 from __future__ import annotations
@@ -25,22 +27,33 @@ def ldl_decompose(G: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[Fractio
     the pivots are the ratios of leading principal minors.  A zero pivot
     before completion (possible only for non-definite G) raises
     :class:`LinearAlgebraError`.
+
+    The elimination is Bareiss's fraction-free one on the integer matrix
+    A = lam*G, lam the lcm of the entry denominators: each step divides
+    exactly by the previous pivot, so every intermediate is an integer and
+    the k-th pivot entry is the leading principal minor Delta_k of A.  Then
+    pivot_k = Delta_k / (Delta_{k-1} lam) and L_ik = A_ik / Delta_k, with
+    A_ik the entry after k steps.
     """
     n = len(G)
+    lower = [[Fraction(G[i][j]) for j in range(i + 1)] for i in range(n)]
+    lam = math.lcm(*(x.denominator for row in lower for x in row))
+    # Working copy of the lower triangle of lam*G.
+    work = [[x.numerator * (lam // x.denominator) for x in row] for row in lower]
     L: Matrix = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     pivots: list[Fraction] = []
-    # Working copy of the lower triangle.
-    work = [[Fraction(G[i][j]) for j in range(i + 1)] for i in range(n)]
+    prev = 1
     for k in range(n):
         piv = work[k][k]
         if piv == 0:
             raise LinearAlgebraError("zero pivot in LDL (matrix is not definite)")
-        pivots.append(piv)
+        pivots.append(Fraction(piv, prev * lam))
         for i in range(k + 1, n):
-            L[i][k] = work[i][k] / piv
-        for i in range(k + 1, n):
+            row, a_ik = work[i], work[i][k]
+            L[i][k] = Fraction(a_ik, piv)
             for j in range(k + 1, i + 1):
-                work[i][j] -= L[i][k] * L[j][k] * piv
+                row[j] = (piv * row[j] - a_ik * work[j][k]) // prev
+        prev = piv
     return L, pivots
 
 

@@ -150,9 +150,11 @@ def sample_cubic_torsion(prime: int, seed: int, r: int = 10) -> PointConfig:
         if config is None:
             continue
         points = config
-        assert all(curve.contains(pt) for pt in points)
+        if not all(curve.contains(pt) for pt in points):
+            raise AssertionError("torsion configuration point off the cubic")
         total = curve.sum_points(points)
-        assert curve.add(curve.multiply(3, total), torsion) is None
+        if curve.add(curve.multiply(3, total), torsion) is not None:
+            raise AssertionError("torsion configuration misses 3S = -T")
         return PointConfig(
             n=2, prime=prime, points=tuple(points), source="cubic-torsion",
             meta={"a": a, "b": b, "torsion": torsion, "order": order, "seed": seed})

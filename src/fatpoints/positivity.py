@@ -35,7 +35,6 @@ from .lattice import (
     curve_e,
     curve_h,
     exceptional,
-    gram_matrix,
     hyperplane,
     line_through,
     pair,
@@ -316,18 +315,33 @@ class GramBasis:
 
         walk(rank - 1, Fraction(0))
 
+        # Replay each coordinate vector as an integer class and check the
+        # postconditions exactly; enumeration bugs would surface here.
         D = self.divisor
+        d_vec, k_vec = _int_vector(D), _int_vector(canonical_class(D.ctx))
+        vectors = [_int_vector(B) for B in self.basis]
         out = []
-        for vec in found:
-            cls = DivisorClass(D.ctx, 0, (0,) * D.ctx.r)
-            for z, B in zip(vec, self.basis):
+        for coords in found:
+            x = [0] * len(d_vec)
+            for z, vec in zip(coords, vectors):
                 if z:
-                    cls = cls + z * B
-            # Exact postcondition replay; enumeration bugs would surface here.
-            assert pair(cls, D) == 0 and arithmetic_genus(cls) >= threshold
-            out.append(cls)
-        out.sort(key=lambda c: (c.d, c.m))
-        return tuple(out)
+                    x = [a + z * b for a, b in zip(x, vec)]
+            # 2 * genus = x^2 + x.K + 2
+            if _dot(x, d_vec) != 0 or _dot(x, x) + _dot(x, k_vec) + 2 < 2 * threshold:
+                raise AssertionError(f"walk produced a class outside the shell: {x}")
+            out.append((x[0], tuple(x[1:])))
+        out.sort()
+        return tuple(DivisorClass(D.ctx, d, m) for d, m in out)
+
+
+def _int_vector(D: DivisorClass) -> list[int]:
+    """The integral class dH - sum m_i E_i as the vector (d, m_1..m_r)."""
+    return [int(D.d)] + [int(mi) for mi in D.m]
+
+
+def _dot(a: list[int], b: list[int]) -> int:
+    """The intersection pairing on vectors (d, m_1..m_r) of a surface."""
+    return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
 
 
 def orthogonal_gram(D: DivisorClass) -> GramBasis:
@@ -345,17 +359,17 @@ def orthogonal_gram(D: DivisorClass) -> GramBasis:
     # x = (delta, mu_1..mu_r) pairs with D as delta*d - sum mu_i m_i.
     row = [int(D.d)] + [-int(mi) for mi in D.m]
     kernel = integer_kernel_of_row(row)
-    basis = tuple(DivisorClass(ctx, vec[0], vec[1:]) for vec in kernel)
-    gram = tuple(map(tuple, gram_matrix(basis)))
+    gram = [[_dot(a, b) for b in kernel] for a in kernel]
     L, pivots = ldl_decompose(gram)
     if any(p >= 0 for p in pivots):
         raise AssertionError("Hodge index violation: Gram of D-perp not negative definite")
-    K = canonical_class(ctx)
-    k = [pair(B, K) for B in basis]
+    k_vec = _int_vector(canonical_class(ctx))
+    k = [_dot(vec, k_vec) for vec in kernel]
     center = solve_linear(L, pivots, [-Fraction(ki, 2) for ki in k])
     upper = 1 + Fraction(1, 4) * sum(ki * xi for ki, xi in zip(k, center))
-    return GramBasis(D, basis, gram, tuple(pivots), tuple(map(tuple, L)),
-                     tuple(center), upper)
+    basis = tuple(DivisorClass(ctx, vec[0], vec[1:]) for vec in kernel)
+    return GramBasis(D, basis, tuple(tuple(map(Fraction, row)) for row in gram),
+                     tuple(pivots), tuple(map(tuple, L)), tuple(center), upper)
 
 
 def orthogonal_genus_upper(D: DivisorClass) -> Fraction:
@@ -534,15 +548,21 @@ def classify_asymptotic(D: DivisorClass, *, degree_bound: int = 10,
                         genus_threshold: int = 1) -> SpecialityVerdict:
     """Classify the asymptotic speciality of a big, screened-nef class.
 
-    Enumerates every orthogonal class of genus >= `genus_threshold`
-    (normally 1), settles their effectivity with certificates, and maps the
-    certified maximal genus to the verdict: 0 -> asymptotically
-    non-special, >= 2 -> asymptotically special, exactly 1 ->
+    Walks the orthogonal classes of genus >= `genus_threshold` (normally 1)
+    from the highest genus down, settles their effectivity with
+    certificates, and maps the certified maximal genus to the verdict: 0 ->
+    asymptotically non-special, >= 2 -> asymptotically special, exactly 1 ->
     Indeterminate (both behaviors occur; deciding between them needs
     geometric data beyond the lattice).  If an undecided candidate could
     change the answer the verdict is Unknown -- in particular
     AsymptoticallyNonSpecial is never returned while any candidate is
     undecided.
+
+    The first certified effective class of genus >= 2 settles the answer,
+    so the shell of genus >= max(2, threshold) is enumerated first and the
+    lower shell only when nothing in it was certified effective.  Both
+    shells are judged in (-genus, d, m) order, the order of one walk over
+    everything, so the verdict is the same as that walk's.
     """
     screen = screen_nef_surface(D, degree_bound)
     if not screen.passed:
@@ -551,13 +571,24 @@ def classify_asymptotic(D: DivisorClass, *, degree_bound: int = 10,
     if pair(D, D) <= 0:
         raise ValueError("classification requires a big class (D^2 > 0)")
     gb = orthogonal_gram(D)
-    ordered = sorted(gb.genus_candidates(genus_threshold),
-                     key=lambda c: (-arithmetic_genus(c), c.d, c.m))
+    top = max(2, genus_threshold)
+
+    def by_genus(shell):
+        # Canonical (d, m) order within each genus: the sort is stable.
+        return sorted(((int(arithmetic_genus(c)), c) for c in shell),
+                      key=lambda gc: -gc[0])
+
+    def ordered():
+        yield from by_genus(gb.genus_candidates(top))
+        if genus_threshold < top:
+            # Reached only past the upper shell, which the lower walk finds
+            # again; it has been judged already.
+            yield from ((g, c) for g, c in by_genus(gb.genus_candidates(genus_threshold))
+                        if g < top)
 
     effective: list[tuple[int, DivisorClass, EffectivityReport]] = []
-    undecided: list[DivisorClass] = []
-    for cand in ordered:
-        genus = int(arithmetic_genus(cand))
+    undecided: list[tuple[int, DivisorClass]] = []
+    for genus, cand in ordered():
         rep = effectivity_verdict(cand, budget)
         if rep.status is Effectivity.EFFECTIVE:
             effective.append((genus, cand, rep))
@@ -566,10 +597,10 @@ def classify_asymptotic(D: DivisorClass, *, degree_bound: int = 10,
                 # question; remaining candidates cannot lower the verdict.
                 break
         elif rep.status is Effectivity.UNKNOWN:
-            undecided.append(cand)
+            undecided.append((genus, cand))
 
     eff_max = max((g for g, _, _ in effective), default=None)
-    unk_max = max((int(arithmetic_genus(c)) for c in undecided), default=None)
+    unk_max = max((g for g, _ in undecided), default=None)
 
     if eff_max is not None and eff_max >= 2:
         verdict = OrthogonalGenusVerdict.AT_LEAST_TWO
@@ -591,7 +622,7 @@ def classify_asymptotic(D: DivisorClass, *, degree_bound: int = 10,
         witnesses=witnesses,
         upper=gb.upper,
         verdict=verdict,
-        undecided=tuple(undecided),
+        undecided=tuple(c for _, c in undecided),
         witness_reports=reports,
     )
     return SpecialityVerdict(_TAG_FOR_VERDICT[verdict], report, degree_bound)
@@ -619,8 +650,10 @@ def speciality_witness(C: DivisorClass, *, degree_bound: int = 10) -> DivisorCla
     witness = primitive_integer_model(projected)
     if witness.d < 0:
         witness = -witness
-    assert pair(witness, C) == 0
-    assert pair(witness, witness) > 0
+    if pair(witness, C) != 0:
+        raise AssertionError("projected class is not orthogonal to C")
+    if pair(witness, witness) <= 0:
+        raise AssertionError("projected class is not big")
     screen = screen_nef_surface(witness, degree_bound)
     if not screen.passed:
         raise ScreeningError(

@@ -12,7 +12,7 @@ from fatpoints.linalg import (
     rational_sqrt,
     solve_linear,
 )
-from tests_support import ldl_negative_definite
+from tests_support import ldl_negative_definite, reference_ldl
 
 
 def ldl_solve(A, b):
@@ -28,6 +28,47 @@ def test_solve_small_system():
 def test_solve_singular_raises():
     with pytest.raises(LinearAlgebraError):
         ldl_decompose([[Q(1), Q(1)], [Q(1), Q(1)]])
+    with pytest.raises(LinearAlgebraError):
+        ldl_decompose([[Q(0)]])
+
+
+def random_symmetric(rng, n, kind, integral, scale):
+    """A random symmetric n x n matrix: definite of either sign or indefinite."""
+    def entry():
+        num = rng.randint(-9, 9) * scale
+        return Q(num) if integral else Q(num, rng.randint(1, 12))
+
+    B = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == "indefinite":
+        return [[B[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    sign = 1 if kind == "positive" else -1
+    # +-(B^T B + I) is definite of the chosen sign.
+    return [[sign * (sum(B[k][i] * B[k][j] for k in range(n)) + (i == j))
+             for j in range(n)] for i in range(n)]
+
+
+def test_ldl_matches_textbook_elimination():
+    rng = random.Random(5)
+    raised = beyond_64_bits = 0
+    for trial in range(240):
+        n = trial % 11
+        kind = rng.choice(("positive", "negative", "indefinite"))
+        G = random_symmetric(rng, n, kind, integral=rng.random() < 0.5,
+                             scale=rng.choice((1, 1, 2 ** 70)))
+        beyond_64_bits += any(abs(x) > 2 ** 64 for row in G for x in row)
+        try:
+            expected = reference_ldl(G)
+        except LinearAlgebraError:
+            raised += 1
+            with pytest.raises(LinearAlgebraError):
+                ldl_decompose(G)
+            continue
+        L, pivots = ldl_decompose(G)
+        assert (L, pivots) == expected
+        assert all(type(x) is Q for row in L for x in row)
+        assert all(type(p) is Q for p in pivots)
+    assert raised < 24
+    assert beyond_64_bits > 60
 
 
 def test_solve_random_exact():

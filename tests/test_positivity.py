@@ -1,7 +1,12 @@
+import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +38,7 @@ from fatpoints import (
     speciality_witness,
     vdim,
 )
+from tests_support import reference_classify
 
 
 def random_class(rng, ctx, d_range=(0, 9), m_range=(-3, 6)):
@@ -348,6 +354,31 @@ class TestGenusCandidates:
             assert pair(x, D) == 0
             assert arithmetic_genus(x) >= 1
 
+    def test_replay_survives_optimized_mode(self):
+        # A walk widened by one step finds classes outside the shell; the
+        # replay must refuse them also under python -O, which drops asserts.
+        code = (
+            "import sys\n"
+            "from fatpoints import BlowupContext, DivisorClass, positivity\n"
+            "walk = positivity.quadratic_integer_range\n"
+            "def wide(c, rho):\n"
+            "    z = walk(c, rho)\n"
+            "    return range(z.start - 1, z.stop + 1)\n"
+            "positivity.quadratic_integer_range = wide\n"
+            "D = DivisorClass(BlowupContext(2, 10), 10, (3,) * 10)\n"
+            "gb = positivity.orthogonal_gram(D)\n"
+            "try:\n"
+            "    gb.genus_candidates(1)\n"
+            "except AssertionError:\n"
+            "    print(sys.flags.optimize, 'raised')\n"
+            "else:\n"
+            "    print(sys.flags.optimize, 'returned')\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.split() == ["1", "raised"]
+
 
 class TestEffectivity:
     def test_anticanonical_nine(self):
@@ -442,16 +473,76 @@ class TestClassifier:
             (speciality_witness(DivisorClass(ctx14, 4, (2,) + (1,) * 13), degree_bound=5),
              OracleBudget(config=sample_nodal_quartic(65537, seed=3))),
         ]
+        # Shells walked: genus >= 2 first, genus >= 1 only when nothing in
+        # the upper shell was certified effective.
+        expected_shells = [[2, 1], [2, 1], [2]]
         calls = Counter()
         for name in ("orthogonal_gram", "ldl_decompose", "solve_linear"):
             def counted(*args, _name=name, _fn=getattr(positivity, name)):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(positivity, name, counted)
-        for D, budget in cases:
+        shells = []
+        walk = positivity.GramBasis.genus_candidates
+
+        def recorded(self, threshold):
+            shells.append(threshold)
+            return walk(self, threshold)
+        monkeypatch.setattr(positivity.GramBasis, "genus_candidates", recorded)
+        for (D, budget), expected in zip(cases, expected_shells):
             calls.clear()
+            shells.clear()
             classify_asymptotic(D, degree_bound=5, budget=budget)
             assert calls == {"orthogonal_gram": 1, "ldl_decompose": 1, "solve_linear": 1}
+            assert shells == expected
+
+    def test_shell_walk_equals_one_walk(self):
+        def same(D, **kwargs):
+            assert classify_asymptotic(D, **kwargs) == reference_classify(D, **kwargs)
+
+        # The classes of acceptance criterion 10.
+        ctx10, ctx14 = BlowupContext(2, 10), BlowupContext(2, 14)
+        D_mix = DivisorClass(ctx10, 10, (3,) * 10)
+        quartic = sample_nodal_quartic(65537, seed=3)
+        same(hyperplane(BlowupContext(2, 2)), degree_bound=5)
+        same(D_mix, degree_bound=5,
+             budget=OracleBudget(config=sample_cubic_torsion(65537, seed=1)))
+        same(D_mix, degree_bound=5, budget=None)
+        # The witnesses of the nodal quartic 4H - 2E_i - sum_{j != i} E_j,
+        # each at the sampled configuration with its node (point 0) moved
+        # to point i; i = 0 is criterion 10's special class.
+        for i in range(14):
+            m = [1] * 14
+            m[i] = 2
+            D = speciality_witness(DivisorClass(ctx14, 4, m), degree_bound=5)
+            points = list(quartic.points)
+            points.insert(i, points.pop(0))
+            config = dataclasses.replace(quartic, points=tuple(points))
+            same(D, degree_bound=5, budget=OracleBudget(config=config),
+                 genus_threshold=1)
+        # Random big screened-nef classes near the direction of -K, with
+        # one to ten orthogonal classes of genus 1 and none above, under
+        # sampled points, a torsion cubic or no oracle at all.
+        rng = random.Random(6)
+        budgets = [OracleBudget(seeds=(1,)), OracleBudget(seeds=(2, 3)), None]
+        count = 0
+        while count < 40:
+            r = rng.randint(9, 12)
+            d = rng.randint(6, 30)
+            D = DivisorClass(BlowupContext(2, r), d,
+                             [rng.randint(d // 3 - 1, d // 3 + 1) for _ in range(r)])
+            if pair(D, D) <= 0:
+                continue
+            gb = orthogonal_gram(D)
+            if (gb.upper >= 2 or not 0 < len(gb.genus_candidates(1)) <= 10
+                    or not screen_nef_surface(D, 5).passed):
+                continue
+            count += 1
+            budget = rng.choice(budgets)
+            if r == 10 and rng.random() < 0.5:
+                budget = OracleBudget(config=sample_cubic_torsion(65537, seed=1))
+            for threshold in (1, 2):
+                same(D, degree_bound=5, budget=budget, genus_threshold=threshold)
 
     def test_h_two_points_non_special(self):
         verdict = classify_asymptotic(hyperplane(BlowupContext(2, 2)),

@@ -1,10 +1,13 @@
-"""The benchmark's span recorders must find every function they trace."""
+"""Repository checks: the benchmark's span recorders find every function
+they trace, and the package's soundness checks survive python -O."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_traced():
@@ -24,3 +27,15 @@ def test_every_traced_function_resolves():
             target = getattr(target, part)
         assert callable(target), f"{module_name}.{attr} is not callable"
         assert kind in ("span", "leaf")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, and with them any certificate
+    # check written as one; the package raises AssertionError explicitly.
+    sources = sorted((ROOT / "src" / "fatpoints").glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{node.lineno}"
+             for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
